@@ -52,24 +52,33 @@ FaasTccCache::FaasTccCache(net::Network& network, net::Address self,
 }
 
 const FaasTccCache::Entry* FaasTccCache::peek(Key k) const {
-  auto it = entries_.find(k);
-  return it == entries_.end() ? nullptr : &it->second;
+  const Cached* c = entries_.find(k);
+  return c == nullptr ? nullptr : &c->entry;
+}
+
+bool FaasTccCache::subscribed(Key k) const {
+  const Cached* c = entries_.find(k);
+  return c != nullptr && (c->sub & kSubActive) != 0;
+}
+
+size_t FaasTccCache::desired_subscriptions() const {
+  size_t n = 0;
+  entries_.for_each(
+      [&n](Key, const Cached& c) { n += (c.sub & kSubDesired) != 0; });
+  return n;
 }
 
 void FaasTccCache::prewarm(const VersionedValue& vv, bool subscribed) {
   if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;
-  if (entries_.count(vv.key) != 0) return;
-  bytes_ += vv.value.size() + kEntryOverhead;
   // Open only when the caller registered a subscription: without pushes
   // the cache would extend this entry's promise past successors it never
   // hears about (chaos_prewarm_open re-enables exactly that bug).
   const bool open = subscribed || params_.chaos_prewarm_open;
-  entries_.emplace(vv.key, Entry{vv.value, vv.ts, vv.promise, open});
-  lru_.touch(vv.key);
-  if (subscribed) {
-    sub_desired_[vv.key] = true;
-    sub_active_.insert(vv.key);
-  }
+  const uint8_t sub = subscribed ? kSubDesired | kSubActive : 0;
+  const auto [c, inserted] = entries_.emplace(
+      vv.key, Cached{Entry{vv.value, vv.ts, vv.promise, open}, sub});
+  if (!inserted) return;
+  bytes_ += c->entry.value.size() + kEntryOverhead;
   stable_est_ = std::max(stable_est_, vv.promise);
 }
 
@@ -88,17 +97,18 @@ void FaasTccCache::insert_or_update(const TccReadResp::Entry& entry) {
   // successor yet.  The partition re-announces the key on subscribe and
   // the next push (or an unchanged refresh) reopens the entry.
   if (params_.capacity == 0) return;
-  auto it = entries_.find(entry.key);
-  if (it == entries_.end()) {
+  Cached* c = entries_.touch(entry.key);
+  if (c == nullptr) {
     bytes_ += entry.value.size() + kEntryOverhead;
     entries_.emplace(entry.key,
-                     Entry{entry.value, entry.ts, entry.promise, false});
-    lru_.touch(entry.key);
+                     Cached{Entry{entry.value, entry.ts, entry.promise, false}});
     // Keep the entry fresh via the storage notification service.
     request_subscribe({entry.key});
     return;
   }
-  auto& e = it->second;
+  // An older version never replaces a newer cached one (§4.6: the reply is
+  // returned without updating the cache).
+  Entry& e = c->entry;
   if (entry.ts > e.ts) {
     bytes_ += entry.value.size();
     bytes_ -= e.value.size();
@@ -106,20 +116,15 @@ void FaasTccCache::insert_or_update(const TccReadResp::Entry& entry) {
   } else if (entry.ts == e.ts) {
     e.promise = std::max(e.promise, entry.promise);
   }
-  // An older version never replaces a newer cached one (§4.6: the reply is
-  // returned without updating the cache).
-  lru_.touch(entry.key);
 }
 
 void FaasTccCache::evict_to_capacity() {
   std::vector<Key> evicted;
   while (entries_.size() > params_.capacity) {
-    auto victim = lru_.least_recent();
+    const auto victim = entries_.least_recent();
     assert(victim.has_value());
-    auto it = entries_.find(*victim);
-    bytes_ -= it->second.value.size() + kEntryOverhead;
-    entries_.erase(it);
-    lru_.erase(*victim);
+    bytes_ -= entries_.find(*victim)->entry.value.size() + kEntryOverhead;
+    entries_.erase(*victim);  // its subscription state goes with it
     evicted.push_back(*victim);
     counters_.evictions.inc();
   }
@@ -127,16 +132,14 @@ void FaasTccCache::evict_to_capacity() {
 }
 
 void FaasTccCache::request_subscribe(std::vector<Key> keys) {
-  for (Key k : keys) sub_desired_[k] = true;
+  for (Key k : keys) {
+    if (Cached* c = entries_.find(k)) c->sub |= kSubDesired;
+  }
   ctl_queue_.push_back(CtlOp{true, std::move(keys)});
   if (!ctl_busy_) sim::spawn(ctl_drain());
 }
 
 void FaasTccCache::request_unsubscribe(std::vector<Key> keys) {
-  for (Key k : keys) {
-    sub_desired_[k] = false;
-    sub_active_.erase(k);
-  }
   ctl_queue_.push_back(CtlOp{false, std::move(keys)});
   if (!ctl_busy_) sim::spawn(ctl_drain());
 }
@@ -155,9 +158,11 @@ sim::Task<void> FaasTccCache::ctl_drain() {
       const bool acked = co_await storage_.subscribe(op.keys, seq);
       if (acked) {
         for (Key k : op.keys) {
-          // Still desired (no unsubscribe raced in behind us)?
-          auto it = sub_desired_.find(k);
-          if (it != sub_desired_.end() && it->second) sub_active_.insert(k);
+          // Still desired (not evicted since)?
+          Cached* c = entries_.find(k);
+          if (c != nullptr && (c->sub & kSubDesired) != 0) {
+            c->sub |= kSubActive;
+          }
         }
       }
     } else {
@@ -173,12 +178,11 @@ void FaasTccCache::handle_push_gap(PartitionId p) {
   // The lost push may have carried the only announcement of a successor:
   // no open entry of this partition may keep extending its promise.
   std::vector<Key> resub;
-  for (auto& [k, e] : entries_) {
-    if (storage_.topology().partition_of(k) != p) continue;
-    e.open = false;
-    auto it = sub_desired_.find(k);
-    if (it != sub_desired_.end() && it->second) resub.push_back(k);
-  }
+  entries_.for_each([&](Key k, Cached& c) {
+    if (storage_.topology().partition_of(k) != p) return;
+    c.entry.open = false;
+    if ((c.sub & kSubDesired) != 0) resub.push_back(k);
+  });
   // Resubscribing makes the partition re-announce each key's latest
   // version on its next push, which reopens the entries that survived.
   if (!resub.empty()) {
@@ -211,23 +215,22 @@ void FaasTccCache::rehome(const routing::RoutingTable& old_table,
   }
   std::vector<Key> resub;
   size_t moved = 0;
-  for (auto& [k, e] : entries_) {
+  entries_.for_each([&](Key k, Cached& c) {
     const PartitionId op = old_table.partition_of(k);
     const PartitionId np = new_table.partition_of(k);
     if (op == np && old_table.partitions[np] == new_table.partitions[np]) {
-      continue;
+      return;
     }
     // The old owner dropped our subscription together with the chain (or,
     // on a promotion, died with it).  The cached promise stays valid — it
     // was issued while the source still owned the chain, and the handoff
     // floor keeps the new owner above it — but without a live
     // subscription the entry must close.
-    e.open = false;
-    sub_active_.erase(k);
+    c.entry.open = false;
+    c.sub &= ~kSubActive;
     ++moved;
-    auto it = sub_desired_.find(k);
-    if (it != sub_desired_.end() && it->second) resub.push_back(k);
-  }
+    if ((c.sub & kSubDesired) != 0) resub.push_back(k);
+  });
   counters_.rehomed_keys.inc(moved);
   if (metrics_ != nullptr && moved > 0) {
     metrics_->counter("cache.rehomed_keys").inc(moved);
@@ -267,9 +270,8 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   std::vector<size_t> to_fetch;
   for (size_t i = 0; i < q.keys.size(); ++i) {
     const Key k = q.keys[i];
-    auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      const auto& e = it->second;
+    if (const Cached* c = entries_.find(k)) {
+      const Entry& e = c->entry;
       const Timestamp promise = effective_promise(k, e);
       // The no-promises ablation admits and narrows with the bare version
       // timestamp: narrowing with the full promise would leak promise
@@ -282,7 +284,7 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
         if (!params_.chaos_ignore_interval) {
           resp.interval.narrow(e.ts, admit_promise);
         }
-        lru_.touch(k);
+        entries_.touch(k);
         continue;
       }
     }
@@ -326,10 +328,9 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
     cached_ts.reserve(to_fetch.size());
     for (size_t idx : to_fetch) {
       const Key k = q.keys[idx];
-      auto it = entries_.find(k);
+      const Cached* c = entries_.find(k);
       keys.push_back(k);
-      cached_ts.push_back(it == entries_.end() ? Timestamp::min()
-                                               : it->second.ts);
+      cached_ts.push_back(c == nullptr ? Timestamp::min() : c->entry.ts);
     }
     storage::TccStorageClient::ReadAccounting acct;
     // Open flags in a response generated before a push gap are stale (the
@@ -362,8 +363,8 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
         break;
       }
       if (entry.status == TccReadResp::Status::kUnchanged) {
-        auto it = entries_.find(entry.key);
-        if (it == entries_.end() || it->second.ts != entry.ts) {
+        const Cached* c = entries_.find(entry.key);
+        if (c == nullptr || c->entry.ts != entry.ts) {
           // Evicted or replaced while the request was in flight: the
           // "unchanged" answer no longer has a local value to attach.
           // Retry without advertising a cached version.
@@ -392,19 +393,17 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
       const size_t idx = to_fetch[j];
       auto& entry = storage_resp.entries[j];
       if (entry.status == TccReadResp::Status::kUnchanged) {
-        auto it = entries_.find(entry.key);
-        assert(it != entries_.end());  // guaranteed by the trial merge
-        it->second.promise = std::max(it->second.promise, entry.promise);
+        Cached* c = entries_.touch(entry.key);
+        assert(c != nullptr);  // guaranteed by the trial merge
+        Entry& e = c->entry;
+        e.promise = std::max(e.promise, entry.promise);
         // Reopen only when the subscription is confirmed live and no push
         // gap interleaved with this storage round: otherwise the "open"
         // flag may predate a successor whose announcement was lost.
-        it->second.open =
-            it->second.open ||
-            (entry.open && gap_epoch_ == epoch_before &&
-             sub_active_.count(entry.key) != 0);
-        resp.entries[idx] = VersionedValue{entry.key, it->second.value,
-                                           it->second.ts, it->second.promise};
-        lru_.touch(entry.key);
+        e.open = e.open || (entry.open && gap_epoch_ == epoch_before &&
+                            (c->sub & kSubActive) != 0);
+        resp.entries[idx] =
+            VersionedValue{entry.key, e.value, e.ts, e.promise};
       } else {
         resp.entries[idx] =
             VersionedValue{entry.key, entry.value, entry.ts, entry.promise};
@@ -484,14 +483,14 @@ void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
     slot = std::max(slot, stable);
   }
   for (const auto& vv : updates) {
-    auto it = entries_.find(vv.key);
-    if (it == entries_.end()) {
+    Cached* c = entries_.find(vv.key);
+    if (c == nullptr) {
       // Evicted since we subscribed; the unsubscribe is in flight.
       counters_.pushes_stale.inc();
       continue;
     }
-    const bool may_open = in_order && sub_active_.count(vv.key) != 0;
-    auto& e = it->second;
+    const bool may_open = in_order && (c->sub & kSubActive) != 0;
+    Entry& e = c->entry;
     if (vv.ts > e.ts) {
       bytes_ += vv.value.size();
       bytes_ -= e.value.size();

@@ -18,11 +18,9 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cache/cache_messages.h"
-#include "cache/lru_index.h"
+#include "cache/slot_table.h"
 #include "common/metrics.h"
 #include "net/rpc.h"
 #include "storage/storage_client.h"
@@ -90,8 +88,12 @@ class FaasTccCache {
   };
 
   // Test access.
-  bool has(Key k) const { return entries_.count(k) != 0; }
+  bool has(Key k) const { return entries_.contains(k); }
   const Entry* peek(Key k) const;
+  // Whether `k` has an acknowledged storage subscription, and how many
+  // keys the cache currently wants subscribed.
+  bool subscribed(Key k) const;
+  size_t desired_subscriptions() const;
   Timestamp partition_stable(PartitionId p) const {
     return partition_stable_.at(p);
   }
@@ -104,9 +106,22 @@ class FaasTccCache {
   // live subscription would keep promising a version the partition may
   // already have overwritten — the cache never hears about the successor.
   void prewarm(const storage::VersionedValue& vv, bool subscribed = false);
+  // Sizes the entry table for `n` entries at once (pre-warming).
+  void reserve(size_t n) { entries_.reserve(n); }
 
  private:
   static constexpr size_t kEntryOverhead = 8 + 8 + 8;  // key + ts + promise
+
+  // One slot per cached key: the entry plus its subscription state.  Only
+  // acknowledged subscriptions make entries open — an unconfirmed one
+  // delivers no pushes, so extending promises on it would be unsound.  The
+  // state goes with the slot: an evicted key wants no subscription.
+  static constexpr uint8_t kSubDesired = 1;  // subscribe requested
+  static constexpr uint8_t kSubActive = 2;   // acknowledged by every partition
+  struct Cached {
+    Entry entry;
+    uint8_t sub = 0;
+  };
   // Must cover at least one full gossip period of the stabilizer at the
   // configured backoff, or hot-key reads can exhaust retries under
   // extreme contention.
@@ -151,8 +166,7 @@ class FaasTccCache {
   CacheParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  std::unordered_map<Key, Entry> entries_;
-  LruIndex lru_;
+  SlotTable<Cached> entries_;
   size_t bytes_ = 0;
   // Highest global stable time observed anywhere; monotone per partition,
   // so always a safe read snapshot.
@@ -166,12 +180,6 @@ class FaasTccCache {
   // Bumped on every push gap; an in-flight storage read that started
   // before a gap must not reopen entries from its stale "open" flags.
   uint64_t gap_epoch_ = 0;
-  // Subscription state: keys we want subscribed, and keys whose
-  // subscription every partition has acknowledged.  Only acknowledged
-  // subscriptions make entries open — an unconfirmed one delivers no
-  // pushes, so extending promises on it would be unsound.
-  std::unordered_map<Key, bool> sub_desired_;
-  std::unordered_set<Key> sub_active_;
   struct CtlOp {
     bool subscribe;
     std::vector<Key> keys;

@@ -29,16 +29,16 @@ void HydroCache::on_push(Buffer msg, net::Address) {
   auto push = decode_message<storage::EvGossipMsg>(msg);
   rpc_.recycle(std::move(msg));
   for (storage::EvItem& item : push.items) {
-    auto it = entries_.find(item.key);
-    if (it == entries_.end()) continue;  // evicted; unsubscribe in flight
-    if (item.version.counter <= it->second.counter) continue;
+    Entry* e = entries_.find(item.key);
+    if (e == nullptr) continue;  // evicted; unsubscribe in flight
+    if (item.version.counter <= e->counter) continue;
     HydroStored stored = decode_message<HydroStored>(
         Buffer(item.payload.begin(), item.payload.end()));
-    bytes_ -= it->second.footprint();
-    it->second = Entry{std::move(stored.value), item.version.counter,
-                       item.written_at, std::move(stored.deps)};
-    bytes_ += it->second.footprint();
-    insert_stubs(it->second.deps);
+    bytes_ -= e->footprint();
+    *e = Entry{std::move(stored.value), item.version.counter,
+               item.written_at, std::move(stored.deps)};
+    bytes_ += e->footprint();
+    insert_stubs(e->deps);
     counters_.pushes_applied.inc();
   }
 }
@@ -77,37 +77,26 @@ HydroCache::Fit HydroCache::check(const DepMap& base, const DepMap& delta,
 void HydroCache::prewarm(Key k, Value value, uint64_t counter,
                          SimTime written_at) {
   if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;
-  if (entries_.count(k) != 0) return;
-  Entry e{std::move(value), counter, written_at, {}};
-  bytes_ += e.footprint();
-  entries_.emplace(k, std::move(e));
-  lru_.touch(k);
+  const auto [e, inserted] =
+      entries_.emplace(k, Entry{std::move(value), counter, written_at, {}});
+  if (inserted) bytes_ += e->footprint();
 }
 
 void HydroCache::insert_entry(Key k, Entry e) {
   if (params_.capacity == 0) return;
   insert_stubs(e.deps);
   // A full entry supersedes a stub.
-  if (auto st = stubs_.find(k); st != stubs_.end()) {
-    stubs_.erase(st);
-    stub_lru_.erase(k);
-    bytes_ -= kStubBytes;
-  }
-  auto it = entries_.find(k);
-  if (it == entries_.end()) {
+  if (stubs_.erase(k)) bytes_ -= kStubBytes;
+  if (Entry* cur = entries_.touch(k)) {
+    if (e.counter <= cur->counter) return;
+    bytes_ -= cur->footprint();
+    bytes_ += e.footprint();
+    *cur = std::move(e);
+  } else {
     bytes_ += e.footprint();
     entries_.emplace(k, std::move(e));
     sim::spawn(storage_.subscribe({k}));
-  } else {
-    if (e.counter <= it->second.counter) {
-      lru_.touch(k);
-      return;
-    }
-    bytes_ -= it->second.footprint();
-    bytes_ += e.footprint();
-    it->second = std::move(e);
   }
-  lru_.touch(k);
   evict_to_capacity();
 }
 
@@ -116,19 +105,17 @@ void HydroCache::insert_stubs(const DepList& deps) {
   const size_t stub_cap =
       params_.capacity == SIZE_MAX ? SIZE_MAX : params_.capacity * 4;
   for (const StoredDep& d : deps) {
-    if (entries_.count(d.key) != 0) continue;
-    auto [it, inserted] = stubs_.emplace(d.key, Stub{d.counter, d.written_at});
-    if (inserted) {
+    if (entries_.contains(d.key)) continue;
+    if (Stub* st = stubs_.touch(d.key)) {
+      if (d.counter > st->counter) *st = Stub{d.counter, d.written_at};
+    } else {
+      stubs_.emplace(d.key, Stub{d.counter, d.written_at});
       bytes_ += kStubBytes;
-    } else if (d.counter > it->second.counter) {
-      it->second = Stub{d.counter, d.written_at};
     }
-    stub_lru_.touch(d.key);
     while (stubs_.size() > stub_cap) {
-      auto victim = stub_lru_.least_recent();
+      const auto victim = stubs_.least_recent();
       assert(victim.has_value());
       stubs_.erase(*victim);
-      stub_lru_.erase(*victim);
       bytes_ -= kStubBytes;
     }
   }
@@ -137,12 +124,10 @@ void HydroCache::insert_stubs(const DepList& deps) {
 void HydroCache::evict_to_capacity() {
   std::vector<Key> evicted;
   while (entries_.size() > params_.capacity) {
-    auto victim = lru_.least_recent();
+    const auto victim = entries_.least_recent();
     assert(victim.has_value());
-    auto it = entries_.find(*victim);
-    bytes_ -= it->second.footprint();
-    entries_.erase(it);
-    lru_.erase(*victim);
+    bytes_ -= entries_.find(*victim)->footprint();
+    entries_.erase(*victim);
     evicted.push_back(*victim);
     counters_.evictions.inc();
   }
@@ -217,14 +202,12 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
 
     // Cache attempt.
     if (params_.capacity != 0) {
-      auto it = entries_.find(k);
-      if (it != entries_.end() &&
-          check(ctx, delta, k, it->second.counter, it->second.deps) ==
-              Fit::kOk) {
-        accept(i, k, it->second.value, it->second.counter,
-               it->second.written_at, it->second.deps);
+      const Entry* e = entries_.find(k);
+      if (e != nullptr &&
+          check(ctx, delta, k, e->counter, e->deps) == Fit::kOk) {
+        accept(i, k, e->value, e->counter, e->written_at, e->deps);
         resp.from_cache[i] = true;
-        lru_.touch(k);
+        entries_.touch(k);
         continue;
       }
     }

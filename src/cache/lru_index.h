@@ -1,12 +1,15 @@
 // Least-recently-used bookkeeping shared by all three cache designs.
 // The paper uses LRU replacement for the bounded-cache experiment (§6.7);
 // the cache algorithms themselves are replacement-policy agnostic (§4.3).
+//
+// The caches keep their entries in a SlotTable, which carries this order
+// itself; LruIndex is the same table with no payload, for callers that
+// track recency of keys stored elsewhere.
 #pragma once
 
-#include <list>
 #include <optional>
-#include <unordered_map>
 
+#include "cache/slot_table.h"
 #include "common/types.h"
 
 namespace faastcc::cache {
@@ -14,19 +17,21 @@ namespace faastcc::cache {
 class LruIndex {
  public:
   // Inserts `k` as most-recently-used, or moves it there if present.
-  void touch(Key k);
+  void touch(Key k) {
+    if (table_.touch(k) == nullptr) table_.emplace(k);
+  }
 
-  void erase(Key k);
+  void erase(Key k) { table_.erase(k); }
 
   // The least-recently-used key, if any.
-  std::optional<Key> least_recent() const;
+  std::optional<Key> least_recent() const { return table_.least_recent(); }
 
-  bool contains(Key k) const { return index_.count(k) != 0; }
-  size_t size() const { return index_.size(); }
+  bool contains(Key k) const { return table_.contains(k); }
+  size_t size() const { return table_.size(); }
 
  private:
-  std::list<Key> order_;  // front = most recent
-  std::unordered_map<Key, std::list<Key>::iterator> index_;
+  struct NoPayload {};
+  SlotTable<NoPayload> table_;
 };
 
 }  // namespace faastcc::cache

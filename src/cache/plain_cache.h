@@ -3,10 +3,8 @@
 // comparison.
 #pragma once
 
-#include <unordered_map>
-
 #include "cache/cache_messages.h"
-#include "cache/lru_index.h"
+#include "cache/slot_table.h"
 #include "common/metrics.h"
 #include "net/rpc.h"
 #include "storage/storage_client.h"
@@ -31,11 +29,11 @@ class PlainCache {
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value v) {
     if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;
-    if (entries_.count(k) != 0) return;
-    bytes_ += v.size() + 8;
-    entries_.emplace(k, std::move(v));
-    lru_.touch(k);
+    const auto [value, inserted] = entries_.emplace(k, std::move(v));
+    if (inserted) bytes_ += value->size() + 8;
   }
+  // Sizes the entry table for `n` entries at once (pre-warming).
+  void reserve(size_t n) { entries_.reserve(n); }
 
  private:
   sim::Task<Buffer> on_read(Buffer req, net::Address from);
@@ -47,8 +45,7 @@ class PlainCache {
   PlainCacheParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  std::unordered_map<Key, Value> entries_;
-  LruIndex lru_;
+  SlotTable<Value> entries_;
   size_t bytes_ = 0;
 };
 

@@ -428,51 +428,67 @@ void Cluster::start() {
 
 void Cluster::prewarm() {
   // Zipf ranks map to key ids directly, so warming keys [0, n) warms the
-  // hottest n keys.  Bounded caches are warmed to capacity.
+  // hottest n keys.  Bounded caches are warmed to capacity.  Every cache
+  // warms the same keys, so the loops run key by key: each key's
+  // subscriber list is registered once, with all its caches, and every
+  // table is sized once up front.
   const Value value(params_.workload.value_size, 'x');
   const Timestamp init_ts(1, 0, 0);
-  const uint64_t n = params_.workload.num_keys;
-  for (auto& cache : faastcc_caches_) {
-    const uint64_t limit =
-        std::min<uint64_t>(n, params_.cache_capacity == SIZE_MAX
-                                  ? n
-                                  : params_.cache_capacity);
+  const uint64_t limit = std::min<uint64_t>(params_.workload.num_keys,
+                                            params_.cache_capacity);
+  const size_t parts = params_.partitions;
+  // Keys k < limit with k % parts == p.
+  const auto keys_of = [&](size_t p) -> size_t {
+    return p < limit ? (limit - p + parts - 1) / parts : 0;
+  };
+  // Each key's subscriber list, as registered at the storage layer.
+  std::vector<net::Address> subscribers;
+
+  if (!faastcc_caches_.empty()) {
     // Subscribe before installing the warm entry so its promise may stay
     // open soundly.  The chaos knob reproduces the historical API misuse:
     // open prewarm entries without a subscription backing them.
     const bool chaos = params_.faastcc_cache.chaos_prewarm_open;
+    for (auto& cache : faastcc_caches_) {
+      cache->reserve(limit);
+      subscribers.push_back(cache->address());
+    }
+    if (!chaos) {
+      for (size_t p = 0; p < parts; ++p) {
+        tcc_partitions_[p]->reserve_subscriptions(keys_of(p));
+      }
+    }
     for (Key k = 0; k < limit; ++k) {
-      const size_t p = k % params_.partitions;
+      const size_t p = k % parts;
       const Timestamp promise = tcc_partitions_[p]->stable_time();
-      if (!chaos) tcc_partitions_[p]->add_subscriber(k, cache->address());
-      cache->prewarm(storage::VersionedValue{k, value, init_ts, promise},
-                     /*subscribed=*/!chaos);
+      if (!chaos) tcc_partitions_[p]->add_subscribers(k, subscribers);
+      for (auto& cache : faastcc_caches_) {
+        cache->prewarm(storage::VersionedValue{k, value, init_ts, promise},
+                       /*subscribed=*/!chaos);
+      }
     }
   }
+
+  // HydroCache and Cloudburst caches subscribe at the notifier replica
+  // (replica 0 of the partition).
+  if (hydro_caches_.empty() && plain_caches_.empty()) return;
+  subscribers.clear();
   for (auto& cache : hydro_caches_) {
-    const uint64_t limit =
-        std::min<uint64_t>(n, params_.cache_capacity == SIZE_MAX
-                                  ? n
-                                  : params_.cache_capacity);
-    for (Key k = 0; k < limit; ++k) {
-      cache->prewarm(k, value, 1, 0);
-      // Subscribe at the notifier replica (replica 0 of the partition).
-      const size_t p = k % params_.partitions;
-      ev_replicas_[p * params_.ev_replicas]->add_subscriber(
-          k, cache->address());
-    }
+    cache->reserve(limit);
+    subscribers.push_back(cache->address());
   }
   for (auto& cache : plain_caches_) {
-    const uint64_t limit =
-        std::min<uint64_t>(n, params_.cache_capacity == SIZE_MAX
-                                  ? n
-                                  : params_.cache_capacity);
-    for (Key k = 0; k < limit; ++k) {
-      cache->prewarm(k, value);
-      const size_t p = k % params_.partitions;
-      ev_replicas_[p * params_.ev_replicas]->add_subscriber(
-          k, cache->address());
-    }
+    cache->reserve(limit);
+    subscribers.push_back(cache->address());
+  }
+  for (size_t p = 0; p < parts; ++p) {
+    ev_replicas_[p * params_.ev_replicas]->reserve_subscriptions(keys_of(p));
+  }
+  for (Key k = 0; k < limit; ++k) {
+    for (auto& cache : hydro_caches_) cache->prewarm(k, value, 1, 0);
+    for (auto& cache : plain_caches_) cache->prewarm(k, value);
+    ev_replicas_[(k % parts) * params_.ev_replicas]->add_subscribers(
+        k, subscribers);
   }
 }
 

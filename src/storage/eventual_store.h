@@ -11,7 +11,7 @@
 // global minimum to garbage-collect dependency metadata.
 #pragma once
 
-#include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -20,6 +20,7 @@
 #include "common/stats.h"
 #include "net/rpc.h"
 #include "storage/messages.h"
+#include "storage/subscriber_table.h"
 
 namespace faastcc::storage {
 
@@ -68,9 +69,16 @@ class EvReplica {
   // Registers a cache for update notifications (setup path; the protocol
   // path is the kEvSubscribe RPC).  Caches subscribe at one replica of the
   // owning partition.
-  void add_subscriber(Key k, net::Address cache) {
-    subscribers_[k].insert(cache);
+  void add_subscribers(Key k, std::span<const net::Address> caches) {
+    AddressList& subs = subscribers_.list(k);
+    subs.reserve(subs.size() + caches.size());
+    for (net::Address cache : caches) subs.insert(cache);
   }
+  void add_subscriber(Key k, net::Address cache) {
+    add_subscribers(k, {&cache, 1});
+  }
+  // Sizes the subscriber table for `keys` subscribed keys at once.
+  void reserve_subscriptions(size_t keys) { subscribers_.reserve(keys); }
 
  private:
   sim::Task<Buffer> on_get(Buffer req, net::Address from);
@@ -103,7 +111,7 @@ class EvReplica {
   SimTime global_cut_ = 0;
   SimTime last_gossip_sent_ = 0;
   // Cache notification service.
-  std::unordered_map<Key, std::set<net::Address>> subscribers_;
+  SubscriberTable subscribers_;
   std::unordered_set<Key> dirty_;
   Counters counters_;
 };

@@ -16,6 +16,7 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "storage/messages.h"
 #include "storage/mv_store.h"
 #include "storage/stabilizer.h"
+#include "storage/subscriber_table.h"
 
 namespace faastcc::storage {
 
@@ -162,15 +164,16 @@ class TccPartition {
   MvStore& store() { return store_; }
   const MvStore& store() const { return store_; }
 
-  // Registers a subscriber directly (pre-warm setup path; the protocol
+  // Registers subscribers directly (pre-warm setup path; the protocol
   // path is the kTccSubscribe RPC).
+  void add_subscribers(Key k, std::span<const net::Address> caches);
   void add_subscriber(Key k, net::Address cache) {
-    if (subscribers_[k].insert(cache).second) {
-      if (++subscriber_refs_[cache] == 1) {
-        subscriber_addresses_.insert(cache);
-      }
-    }
+    add_subscribers(k, {&cache, 1});
   }
+  // Sizes the subscriber table for `keys` subscribed keys at once.
+  void reserve_subscriptions(size_t keys) { subscribers_.reserve(keys); }
+  // Keys with at least one subscriber (test access).
+  size_t subscribed_keys() const { return subscribers_.size(); }
 
   struct Counters {
     Counter reads;
@@ -319,7 +322,7 @@ class TccPartition {
   void drop_subscriber(Key k, net::Address cache);
 
   // Pub/sub.
-  std::unordered_map<Key, std::set<net::Address>> subscribers_;
+  SubscriberTable subscribers_;
   std::unordered_map<net::Address, size_t> subscriber_refs_;
   std::set<net::Address> subscriber_addresses_;
   std::unordered_set<Key> dirty_;

@@ -553,6 +553,59 @@ TEST_F(FaasTccCacheTest, BatchKeepsEntriesMutuallyConsistent) {
   });
 }
 
+TEST_F(FaasTccCacheTest, ChurnKeepsSubscriptionStateWithinCapacity) {
+  // Subscription state lives in the entry slots: churning a bounded cache
+  // through ten times its capacity of distinct keys must leave at most
+  // `capacity` keys wanting a subscription, with the survivors acknowledged
+  // by storage and the evicted ones unsubscribed there.
+  constexpr size_t kCapacity = 64;
+  constexpr Key kKeys = 10 * kCapacity;
+  cache_ = std::make_unique<FaasTccCache>(net_, 201,
+                                          storage::TccTopology{{100, 101}},
+                                          CacheParams{kCapacity}, &metrics_);
+  run([&]() -> sim::Task<void> {
+    std::vector<KeyValue> writes;
+    for (Key k = 0; k < kKeys; ++k) writes.push_back(KeyValue{k, "v"});
+    co_await storage_client_->commit(next_txn_++, std::move(writes),
+                                     Timestamp::min());
+    co_await sim::sleep_for(loop_, milliseconds(10));
+    const auto read = [&](std::vector<Key> keys) {
+      CacheReadReq req;
+      req.interval = SnapshotInterval::full();
+      req.keys = std::move(keys);
+      return client_rpc_.call<CacheReadResp>(201, kCacheRead, req);
+    };
+    for (Key k = 0; k < kKeys; k += 8) {
+      std::vector<Key> keys;
+      for (Key j = k; j < k + 8; ++j) keys.push_back(j);
+      auto resp = co_await read(std::move(keys));
+      EXPECT_FALSE(resp.abort);
+    }
+    // Let the ordered control channel drain every (un)subscribe.
+    co_await sim::sleep_for(loop_, milliseconds(200));
+    EXPECT_EQ(cache_->entry_count(), kCapacity);
+    EXPECT_EQ(cache_->counters().evictions.value(), kKeys - kCapacity);
+    EXPECT_LE(cache_->desired_subscriptions(), kCapacity);
+    for (Key k = kKeys - kCapacity; k < kKeys; ++k) {
+      EXPECT_TRUE(cache_->subscribed(k)) << "key " << k;
+    }
+    EXPECT_FALSE(cache_->subscribed(0));
+    EXPECT_EQ(partitions_[0]->subscribed_keys() +
+                  partitions_[1]->subscribed_keys(),
+              kCapacity);
+
+    // An evicted key comes back closed, is re-subscribed and acknowledged,
+    // and its entry reopens on the partition's re-announce.
+    auto resp = co_await read(std::vector<Key>(1, Key{0}));
+    EXPECT_FALSE(resp.from_cache[0]);
+    EXPECT_FALSE(cache_->peek(0)->open);
+    co_await sim::sleep_for(loop_, milliseconds(100));
+    EXPECT_TRUE(cache_->subscribed(0));
+    EXPECT_TRUE(cache_->peek(0)->open);
+    EXPECT_LE(cache_->desired_subscriptions(), kCapacity);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // HydroCache against a live eventual store.
 // ---------------------------------------------------------------------------

@@ -300,6 +300,81 @@ TEST(Zipf, SamplesStayInRange) {
   }
 }
 
+// The rank the plain inverse CDF gives: std::upper_bound over every entry.
+uint64_t plain_rank(const ZipfSampler& z, double u) {
+  const auto& cdf = z.cdf();
+  const auto idx =
+      static_cast<uint64_t>(std::upper_bound(cdf.begin(), cdf.end(), u) -
+                            cdf.begin());
+  return std::min<uint64_t>(idx, z.num_keys() - 1);
+}
+
+// Counts the draws among `us` where the guided search disagrees.
+size_t guide_mismatches(const ZipfSampler& z, const std::vector<double>& us) {
+  size_t bad = 0;
+  for (double u : us) bad += z.rank_of(u) != plain_rank(z, u);
+  return bad;
+}
+
+// Every CDF entry and its two floating-point neighbours, plus the bucket
+// bounds b / 2^k of every power-of-two bucket count up to 2^20.
+std::vector<double> boundary_values(const ZipfSampler& z) {
+  std::vector<double> us;
+  const auto keep = [&us](double u) {
+    if (u >= 0.0 && u < 1.0) us.push_back(u);
+  };
+  for (double c : z.cdf()) {
+    keep(c);
+    keep(std::nextafter(c, 0.0));
+    keep(std::nextafter(c, 1.0));
+  }
+  for (int bits = 0; bits <= 20; ++bits) {
+    const double buckets = std::ldexp(1.0, bits);
+    for (double b = 0; b < buckets; ++b) {
+      keep(b / buckets);
+      keep(std::nextafter(b / buckets, 0.0));
+    }
+  }
+  keep(0.0);
+  keep(std::nextafter(1.0, 0.0));
+  return us;
+}
+
+TEST(Zipf, GuideTableMatchesPlainUpperBoundOnDraws) {
+  // The paper's dataset and skew, a million draws from the generator's Rng.
+  ZipfSampler z(100000, 1.0);
+  Rng r(29);
+  std::vector<double> us(1000000);
+  for (double& u : us) u = r.next_double();
+  EXPECT_EQ(guide_mismatches(z, us), 0u);
+  // sample() is rank_of() on the same draw sequence.
+  Rng a(31), b(31);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(z.sample(a), plain_rank(z, b.next_double()));
+  }
+}
+
+TEST(Zipf, GuideTableMatchesPlainUpperBoundOnBoundaries) {
+  for (const auto& [n, theta] :
+       std::vector<std::pair<uint64_t, double>>{{100000, 1.0},
+                                                {100000, 0.6},
+                                                {1000, 1.5},
+                                                {1000, 1.2},
+                                                {100, 0.0},
+                                                {3, 1.0},
+                                                {1, 1.0}}) {
+    ZipfSampler z(n, theta);
+    EXPECT_EQ(guide_mismatches(z, boundary_values(z)), 0u)
+        << "n=" << n << " theta=" << theta;
+  }
+}
+
+TEST(Zipf, SamplersOfOneDistributionShareTheirTable) {
+  ZipfSampler a(5000, 1.0), b(5000, 1.0), c(5000, 0.9);
+  EXPECT_EQ(&a.cdf(), &b.cdf());
+  EXPECT_NE(&a.cdf(), &c.cdf());
+}
+
 // ---------------------------------------------------------------------------
 // Samples
 // ---------------------------------------------------------------------------
