@@ -29,22 +29,8 @@ struct CacheReadReq {
                              // the interval.
   std::vector<Key> keys;
 
-  template <typename W>
-  void encode(W& w) const {
-    interval.encode(w);
-    w.put_bool(use_promises);
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static CacheReadReq decode(BufReader& r) {
-    CacheReadReq q;
-    q.interval = client::SnapshotInterval::decode(r);
-    q.use_promises = r.get_bool();
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.interval, s.use_promises, s.keys); }
 };
 
 struct CacheReadResp {
@@ -53,23 +39,9 @@ struct CacheReadResp {
   std::vector<storage::VersionedValue> entries;  // parallel to request keys
   std::vector<bool> from_cache;                  // parallel to entries
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(abort);
-    interval.encode(w);
-    storage::put_vec(w, entries);
-    w.put_u32(static_cast<uint32_t>(from_cache.size()));
-    for (bool b : from_cache) w.put_bool(b);
-  }
-  static CacheReadResp decode(BufReader& r) {
-    CacheReadResp resp;
-    resp.abort = r.get_bool();
-    resp.interval = client::SnapshotInterval::decode(r);
-    resp.entries = storage::get_vec<storage::VersionedValue>(r);
-    const uint32_t n = r.get_u32();
-    resp.from_cache.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) resp.from_cache.push_back(r.get_bool());
-    return resp;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.abort, s.interval, s.entries, s.from_cache);
   }
 };
 
@@ -81,20 +53,8 @@ struct HydroReadReq {
   std::vector<Key> keys;
   DepMap context;  // the transaction's accumulated causal requirements
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-    context.encode(w);
-  }
-  static HydroReadReq decode(BufReader& r) {
-    HydroReadReq q;
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    q.context = DepMap::decode(r);
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.keys, s.context); }
 };
 
 struct HydroReadEntry {
@@ -105,22 +65,9 @@ struct HydroReadEntry {
   DepList deps;  // merged into the txn context by the client; shared, not
                  // copied, with the cache entry it came from
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_bytes(value);
-    w.put_u64(counter);
-    w.put_i64(written_at);
-    deps.encode(w);
-  }
-  static HydroReadEntry decode(BufReader& r) {
-    HydroReadEntry e;
-    e.key = r.get_u64();
-    e.value = r.get_bytes();
-    e.counter = r.get_u64();
-    e.written_at = r.get_i64();
-    e.deps = DepList::decode(r);
-    return e;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.key, s.value, s.counter, s.written_at, s.deps);
   }
 };
 
@@ -130,23 +77,9 @@ struct HydroReadResp {
   std::vector<bool> from_cache;
   SimTime global_cut = 0;  // latest dependency-GC watermark seen
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(abort);
-    storage::put_vec(w, entries);
-    w.put_u32(static_cast<uint32_t>(from_cache.size()));
-    for (bool b : from_cache) w.put_bool(b);
-    w.put_i64(global_cut);
-  }
-  static HydroReadResp decode(BufReader& r) {
-    HydroReadResp resp;
-    resp.abort = r.get_bool();
-    resp.entries = storage::get_vec<HydroReadEntry>(r);
-    const uint32_t n = r.get_u32();
-    resp.from_cache.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) resp.from_cache.push_back(r.get_bool());
-    resp.global_cut = r.get_i64();
-    return resp;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.abort, s.entries, s.from_cache, s.global_cut);
   }
 };
 
@@ -157,18 +90,8 @@ struct HydroReadResp {
 struct PlainReadReq {
   std::vector<Key> keys;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static PlainReadReq decode(BufReader& r) {
-    PlainReadReq q;
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.keys); }
 };
 
 struct PlainReadResp {
@@ -178,17 +101,8 @@ struct PlainReadResp {
   bool abort = false;
   std::vector<storage::KeyValue> entries;  // parallel to request keys
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(abort);
-    storage::put_vec(w, entries);
-  }
-  static PlainReadResp decode(BufReader& r) {
-    PlainReadResp resp;
-    resp.abort = r.get_bool();
-    resp.entries = storage::get_vec<storage::KeyValue>(r);
-    return resp;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.abort, s.entries); }
 };
 
 }  // namespace faastcc::cache

@@ -221,8 +221,6 @@ class DepMap {
 
   size_t wire_bytes() const { return 4 + size() * kDepWireBytes; }
 
-  size_t size_hint() const { return wire_bytes(); }
-
   // Canonical encoding: entries sorted by raw key.  Stable across
   // insertion orders, merge histories and stdlib implementations.  A
   // raw-backed map folds its overlay (a bulk raw-level merge) and then
@@ -232,11 +230,8 @@ class DepMap {
   void encode(W& w) const {
     flush();
     if (raw_) {
-      if constexpr (requires { w.put_span(raw_.data, raw_.size); }) {
-        w.put_span(raw_.data, raw_.size);
-        return;
-      }
-      materialize();
+      w.put_span(raw_.data, raw_.size);
+      return;
     }
     encode_entries(w);
   }
@@ -376,11 +371,11 @@ class DepMap {
     flush();
     const Entries& es = entries();
     w.put_u32(static_cast<uint32_t>(es.size()));
-    const KeyInterner& interner = KeyInterner::instance();
     if constexpr (requires(W& ww) { ww.extend(size_t{0}); }) {
       // Contexts run to thousands of entries and are re-encoded at every
       // function hop; one bounds check for the whole record block beats
       // five per entry.  Offsets match the canonical 26-byte record.
+      const KeyInterner& interner = KeyInterner::instance();
       uint8_t* p = w.extend(es.size() * kDepWireBytes);
       for (const Dep& d : es) {
         const Key k = interner.key_of(d.key_id);
@@ -391,21 +386,10 @@ class DepMap {
         p[25] = d.level;
         p += kDepWireBytes;
       }
-    } else if constexpr (requires(W& ww) {
-                           ww.put_span(static_cast<const uint8_t*>(nullptr),
-                                       size_t{0});
-                         }) {
+    } else {
       // Tallying writer (CountingWriter): records are fixed-width, so the
       // size is arithmetic — never walk a 10^3-entry map just to count it.
       w.put_span(nullptr, es.size() * kDepWireBytes);
-    } else {
-      for (const Dep& d : es) {
-        w.put_u64(interner.key_of(d.key_id));
-        w.put_u64(d.counter);
-        w.put_i64(d.written_at);
-        w.put_bool(d.read);
-        w.put_u8(d.level);
-      }
     }
   }
 
@@ -514,28 +498,17 @@ struct StoredDep {
   SimTime written_at = 0;
   uint8_t level = 0;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_u64(counter);
-    w.put_i64(written_at);
-    w.put_u8(level);
-  }
-  static StoredDep decode(BufReader& r) {
-    StoredDep d;
-    d.key = r.get_u64();
-    d.counter = r.get_u64();
-    d.written_at = r.get_i64();
-    d.level = r.get_u8();
-    return d;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.key, s.counter, s.written_at, s.level);
   }
 };
 
 // Immutable, refcounted stored-dependency list.  One decoded or built list
 // is shared by every holder — cache entry, read response, client context —
-// instead of being vector-copied at each hop.  Wire format is identical to
-// the storage::put_vec/get_vec encoding it replaces (u32 count + entries),
-// so Fig. 7 / Fig. 8 byte accounting is unchanged.
+// instead of being vector-copied at each hop.  On the wire it is a plain
+// std::vector<StoredDep> (u32 count + entries), so Fig. 7 / Fig. 8 byte
+// accounting is unchanged.
 class DepList {
  public:
   DepList() = default;
@@ -555,17 +528,9 @@ class DepList {
   const StoredDep& operator[](size_t i) const { return items()[i]; }
 
   template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(size()));
-    for (const StoredDep& d : items()) d.encode(w);
-  }
+  void encode(W& w) const { w(items()); }
   static DepList decode(BufReader& r) {
-    const uint32_t n = r.get_u32();
-    if (n == 0) return DepList();
-    std::vector<StoredDep> v;
-    v.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) v.push_back(StoredDep::decode(r));
-    return DepList(std::move(v));
+    return DepList(r.get<std::vector<StoredDep>>());
   }
 
  private:
@@ -578,17 +543,8 @@ struct HydroStored {
   Value value;
   DepList deps;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bytes(value);
-    deps.encode(w);
-  }
-  static HydroStored decode(BufReader& r) {
-    HydroStored s;
-    s.value = r.get_bytes();
-    s.deps = DepList::decode(r);
-    return s;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.value, s.deps); }
 };
 
 }  // namespace faastcc::cache

@@ -16,41 +16,16 @@ uint64_t interval_width_us(const SnapshotInterval& si) {
 }
 }  // namespace
 
-FaasTccContext FaasTccContext::decode(BufReader& r) {
-  const uint8_t version = r.get_u8();
-  if (version != kWireVersion && version != kWireVersionEpoch) {
-    throw CodecError("FaasTccContext: unsupported wire version " +
-                     std::to_string(version));
-  }
-  FaasTccContext c;
-  if (version == kWireVersionEpoch) c.routing_epoch = r.get_u32();
-  c.interval = SnapshotInterval::decode(r);
-  c.dep_ts = Timestamp(r.get_u64());
-  c.snapshot_fixed = r.get_bool();
-  const uint32_t n = r.get_u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    const Key k = r.get_u64();
-    c.write_set[k] = r.get_bytes();
-  }
-  return c;
-}
-
 Buffer encode_faastcc_session(Timestamp commit_ts) {
-  BufWriter w;
-  w.put_u64(commit_ts.raw());
-  return w.take();
+  return encode_message(commit_ts);
 }
 
 Timestamp decode_faastcc_session(const Buffer& b) {
-  if (b.empty()) return Timestamp::min();
-  BufReader r(b);
-  return Timestamp(r.get_u64());
+  return b.empty() ? Timestamp::min() : decode_message<Timestamp>(b);
 }
 
 Timestamp decode_faastcc_session(const Payload& p) {
-  if (p.empty()) return Timestamp::min();
-  BufReader r(p.data(), p.size());
-  return Timestamp(r.get_u64());
+  return p.empty() ? Timestamp::min() : decode_message<Timestamp>(p);
 }
 
 FaasTccAdapter::FaasTccAdapter(net::RpcNode& rpc, net::Address cache_address,

@@ -63,24 +63,19 @@ struct FaasTccContext {
   // burning a guaranteed wrong-epoch NACK round.
   uint32_t routing_epoch = 0;
 
-  template <typename W>
-  void encode(W& w) const {
-    if (routing_epoch > 1) {
-      w.put_u8(kWireVersionEpoch);
-      w.put_u32(routing_epoch);
-    } else {
-      w.put_u8(kWireVersion);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    // Writing, the version follows from routing_epoch; reading, it is
+    // overwritten by the wire byte before anything depends on it.
+    uint8_t version = s.routing_epoch > 1 ? kWireVersionEpoch : kWireVersion;
+    f(version);
+    if (version != kWireVersion && version != kWireVersionEpoch) {
+      throw CodecError("FaasTccContext: unsupported wire version " +
+                       std::to_string(version));
     }
-    interval.encode(w);
-    w.put_u64(dep_ts.raw());
-    w.put_bool(snapshot_fixed);
-    w.put_u32(static_cast<uint32_t>(write_set.size()));
-    for (const auto& [k, v] : write_set) {
-      w.put_u64(k);
-      w.put_bytes(v);
-    }
+    if (version == kWireVersionEpoch) f(s.routing_epoch);
+    f(s.interval, s.dep_ts, s.snapshot_fixed, s.write_set);
   }
-  static FaasTccContext decode(BufReader& r);
 };
 
 class FaasTccAdapter final : public SystemAdapter {

@@ -5,32 +5,6 @@
 
 namespace faastcc::client {
 
-HydroContext HydroContext::decode(BufReader& r) {
-  const uint8_t version = r.get_u8();
-  if (version != kWireVersion) {
-    throw CodecError("HydroContext: unsupported wire version " +
-                     std::to_string(version));
-  }
-  HydroContext c;
-  c.deps = cache::DepMap::decode(r);
-  c.lamport = r.get_u64();
-  c.global_cut = r.get_i64();
-  const uint32_t n = r.get_u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    const Key k = r.get_u64();
-    c.write_set[k] = r.get_bytes();
-  }
-  return c;
-}
-
-HydroSession HydroSession::decode(BufReader& r) {
-  HydroSession s;
-  s.lamport = r.get_u64();
-  s.global_cut = r.get_i64();
-  s.deps = cache::DepMap::decode(r);
-  return s;
-}
-
 HydroAdapter::HydroAdapter(net::RpcNode& rpc, net::Address cache_address,
                            storage::EvTopology topology, Rng rng,
                            HydroConfig config, Metrics* metrics,
@@ -282,9 +256,7 @@ sim::Task<std::optional<Buffer>> HydroTxn::commit() {
     storage::EvItem item;
     item.key = k;
     item.version = storage::EvVersion{counter, info_.txn_id};
-    BufWriter w;
-    stored.encode(w);
-    const Buffer payload = w.take();
+    const Buffer payload = encode_message(stored);
     item.payload = Value(std::string_view(
         reinterpret_cast<const char*>(payload.data()), payload.size()));
     items.push_back(std::move(item));

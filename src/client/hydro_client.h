@@ -41,19 +41,16 @@ struct HydroContext {
   SimTime global_cut = 0;
   std::map<Key, Value> write_set;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u8(kWireVersion);
-    deps.encode(w);
-    w.put_u64(lamport);
-    w.put_i64(global_cut);
-    w.put_u32(static_cast<uint32_t>(write_set.size()));
-    for (const auto& [k, v] : write_set) {
-      w.put_u64(k);
-      w.put_bytes(v);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    uint8_t version = kWireVersion;
+    f(version);
+    if (version != kWireVersion) {
+      throw CodecError("HydroContext: unsupported wire version " +
+                       std::to_string(version));
     }
+    f(s.deps, s.lamport, s.global_cut, s.write_set);
   }
-  static HydroContext decode(BufReader& r);
 };
 
 class HydroAdapter final : public SystemAdapter {
@@ -113,13 +110,8 @@ struct HydroSession {
   SimTime global_cut = 0;
   cache::DepMap deps;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(lamport);
-    w.put_i64(global_cut);
-    deps.encode(w);
-  }
-  static HydroSession decode(BufReader& r);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.lamport, s.global_cut, s.deps); }
 };
 
 }  // namespace faastcc::client

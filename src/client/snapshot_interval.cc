@@ -17,7 +17,12 @@ SnapshotInterval SnapshotInterval::merge(
 }
 
 std::string SnapshotInterval::to_string() const {
-  return "[" + low.to_string() + ", " + high.to_string() + "]";
+  std::string out = "[";
+  out += low.to_string();
+  out += ", ";
+  out += high.to_string();
+  out += "]";
+  return out;
 }
 
 }  // namespace faastcc::client

@@ -5,171 +5,63 @@
 // paper) report the byte counts produced by this codec.  It plays the role
 // protocol buffers play in the authors' prototype.
 //
-// Message structs provide `template <typename W> void encode(W&) const`,
-// generic over the writer, so the same encode body drives both the real
-// BufWriter and the allocation-free CountingWriter (exact wire sizes
-// without encoding, and exact reserve() hints before encoding).
+// Each wire struct declares its layout once, as a field list in wire
+// order:
+//
+//   struct BackfillReq {
+//     Timestamp safe;
+//     std::vector<MigratedChain> chains;
+//     uint32_t epoch = 0;  // newer senders only
+//
+//     template <class Self, class F>
+//     static void fields(Self& s, F&& f) {
+//       f(s.safe, s.chains);
+//       f.trailing(s.epoch);
+//     }
+//   };
+//
+// Three visitors walk that list: BufWriter encodes, CountingWriter tallies
+// the exact wire size without allocating (encode_message reserves it up
+// front), and BufReader decodes.  Field encodings:
+//
+//   * integers, floats and enums at their declared width; bool as one byte;
+//     Timestamp as its raw u64.  A wire enum declares its largest value
+//     with an ADL-visible `wire_max(E)`; the reader rejects larger ones.
+//   * Value, std::string, Buffer, Payload: u32 length + bytes.  A Payload
+//     read through a shared-ownership reader aliases the message buffer.
+//   * std::vector<T>: u32 count + elements; std::map<K, V>: u32 count +
+//     (key, value) pairs; f.zipped(a, b): one count, then a[i], b[i].
+//   * nested field-listed structs inline; types with a hand-written codec
+//     (`encode(W&)` + `static T decode(BufReader&)`, e.g. cache::DepMap)
+//     as leaves.
+//   * f.trailing(x): written only when x differs from its default, read
+//     only when bytes remain, so nothing may follow it.
+//
+// Conditional fields are a plain `if` on a field visited earlier (the
+// reader has already filled it in).  A struct may add `void validate()
+// const`; the reader runs it after the fields and it throws CodecError on
+// a value the layout alone cannot rule out.
 #pragma once
 
-#include <concepts>
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "common/hlc.h"
+#include "common/types.h"
 
 namespace faastcc {
 
 using Buffer = std::vector<uint8_t>;
 
 class BufferPool;
-
-class BufWriter {
- public:
-  BufWriter() = default;
-  // Writes into a recycled buffer (cleared, capacity retained) so repeated
-  // encodes through a BufferPool stop hitting the allocator.
-  explicit BufWriter(Buffer recycled) : buf_(std::move(recycled)) {
-    buf_.clear();
-  }
-
-  void reserve(size_t n) { buf_.reserve(n); }
-
-  void put_u8(uint8_t v) { buf_.push_back(v); }
-  void put_u16(uint16_t v) { put_raw(&v, sizeof(v)); }
-  void put_u32(uint32_t v) { put_raw(&v, sizeof(v)); }
-  void put_u64(uint64_t v) { put_raw(&v, sizeof(v)); }
-  void put_i64(int64_t v) { put_raw(&v, sizeof(v)); }
-  void put_f64(double v) { put_raw(&v, sizeof(v)); }
-  void put_bool(bool v) { put_u8(v ? 1 : 0); }
-
-  void put_bytes(std::string_view s) {
-    put_u32(static_cast<uint32_t>(s.size()));
-    put_raw(s.data(), s.size());
-  }
-
-  // Bulk append of pre-encoded bytes (no length prefix).  Lets a message
-  // splice in an already-canonical sub-encoding with one memcpy.
-  void put_span(const uint8_t* p, size_t n) { put_raw(p, n); }
-
-  // Appends `n` uninitialized-ish bytes and returns a pointer to them, so
-  // a fixed-width record loop can store fields directly instead of going
-  // through one bounds-checked put_* call per field.  The pointer is valid
-  // until the next mutating call.
-  uint8_t* extend(size_t n) {
-    const size_t off = buf_.size();
-    buf_.resize(off + n);
-    return buf_.data() + off;
-  }
-
-  size_t size() const { return buf_.size(); }
-  Buffer take() { return std::move(buf_); }
-  const Buffer& data() const { return buf_; }
-
- private:
-  void put_raw(const void* p, size_t n) {
-    const auto* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
-  }
-  Buffer buf_;
-};
-
-// Writer that only tallies bytes — no buffer, no heap allocation.  Feeding
-// a message's encode() through one yields the exact wire size; the codec
-// fields are fixed-width, so counting is pure arithmetic.
-class CountingWriter {
- public:
-  void reserve(size_t) {}
-
-  void put_u8(uint8_t) { size_ += 1; }
-  void put_u16(uint16_t) { size_ += 2; }
-  void put_u32(uint32_t) { size_ += 4; }
-  void put_u64(uint64_t) { size_ += 8; }
-  void put_i64(int64_t) { size_ += 8; }
-  void put_f64(double) { size_ += 8; }
-  void put_bool(bool) { size_ += 1; }
-  void put_bytes(std::string_view s) { size_ += 4 + s.size(); }
-  void put_span(const uint8_t*, size_t n) { size_ += n; }
-
-  size_t size() const { return size_; }
-
- private:
-  size_t size_ = 0;
-};
-
-class CodecError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-class BufReader {
- public:
-  explicit BufReader(const Buffer& b) : data_(b.data()), size_(b.size()) {}
-  BufReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  // Shared-ownership reader: decode paths that can represent their result
-  // as a view of the wire bytes (see DepMap) alias the buffer through
-  // `owner()` instead of copying, keeping it alive past the decode.
-  explicit BufReader(std::shared_ptr<const Buffer> owner)
-      : data_(owner->data()), size_(owner->size()), owner_(std::move(owner)) {}
-  // Shared-ownership reader over a slice of `owner` (a nested payload).
-  BufReader(const uint8_t* data, size_t size,
-            std::shared_ptr<const Buffer> owner)
-      : data_(data), size_(size), owner_(std::move(owner)) {}
-
-  const std::shared_ptr<const Buffer>& owner() const { return owner_; }
-
-  uint8_t get_u8() { return get<uint8_t>(); }
-  uint16_t get_u16() { return get<uint16_t>(); }
-  uint32_t get_u32() { return get<uint32_t>(); }
-  uint64_t get_u64() { return get<uint64_t>(); }
-  int64_t get_i64() { return get<int64_t>(); }
-  double get_f64() { return get<double>(); }
-  bool get_bool() { return get_u8() != 0; }
-
-  std::string get_bytes() { return std::string(get_bytes_view()); }
-
-  // Zero-copy view into the underlying buffer; valid only while the buffer
-  // lives.  Decode paths that copy the bytes into longer-lived storage
-  // anyway use this to skip the intermediate std::string.
-  std::string_view get_bytes_view() {
-    const uint32_t n = get_u32();
-    require(n);
-    std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  // Bounds-checked view of the next `n` raw bytes; advances past them.
-  // Valid only while the underlying buffer lives.
-  const uint8_t* get_span(size_t n) {
-    require(n);
-    const uint8_t* p = data_ + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  size_t remaining() const { return size_ - pos_; }
-  bool done() const { return pos_ == size_; }
-
- private:
-  template <typename T>
-  T get() {
-    require(sizeof(T));
-    T v;
-    std::memcpy(&v, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  void require(size_t n) const {
-    if (size_ - pos_ < n) throw CodecError("buffer underflow");
-  }
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  std::shared_ptr<const Buffer> owner_;
-};
 
 // A nested byte blob inside a wire message (a context or session handed
 // from function to function).  Either owns its bytes, or aliases a slice
@@ -207,31 +99,332 @@ class Payload {
   size_t size_ = 0;
 };
 
-// Size in bytes a message would occupy on the wire.  Runs the message's
-// encode body against a CountingWriter: exact, and allocation-free.
+class CodecError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+namespace codec {
+
+// Stand-in visitor for the FieldListed check below.
+struct AnyVisitor {};
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T, class A>
+inline constexpr bool kIsVector<std::vector<T, A>> = true;
+
+template <class T>
+inline constexpr bool kIsMap = false;
+template <class K, class V, class C, class A>
+inline constexpr bool kIsMap<std::map<K, V, C, A>> = true;
+
+// Elements a vector ships as one block copy.
+template <class T>
+inline constexpr bool kIsPlainScalar =
+    std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
+template <class T>
+inline constexpr bool kIsBytes = std::is_same_v<T, Value> ||
+                                 std::is_same_v<T, std::string> ||
+                                 std::is_same_v<T, Payload>;
+
+}  // namespace codec
+
+// A struct with a `fields` list (only the declaration is checked).
+template <class T>
+concept FieldListed = requires(T& t, codec::AnyVisitor& v) {
+  T::fields(t, v);
+};
+
+// Encoding half shared by BufWriter and CountingWriter: both walk field
+// lists the same way and differ only in what `put_span` does with bytes.
+template <class Derived>
+class FieldWriter {
+ public:
+  template <class... Ts>
+  void operator()(const Ts&... xs) {
+    (write(xs), ...);
+  }
+
+  template <class T>
+  void trailing(const T& x) {
+    if (!(x == T{})) write(x);
+  }
+
+  template <class A, class B>
+  void zipped(const std::vector<A>& a, const std::vector<B>& b) {
+    write(static_cast<uint32_t>(a.size()));
+    for (size_t i = 0; i < a.size(); ++i) {
+      write(a[i]);
+      write(b[i]);
+    }
+  }
+
+  void put_u8(uint8_t v) { write(v); }
+  void put_u16(uint16_t v) { write(v); }
+  void put_u32(uint32_t v) { write(v); }
+  void put_u64(uint64_t v) { write(v); }
+  void put_i64(int64_t v) { write(v); }
+  void put_f64(double v) { write(v); }
+  void put_bool(bool v) { write(v); }
+  void put_bytes(std::string_view s) { put_blob(s.data(), s.size()); }
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+
+  void put_blob(const void* p, size_t n) {
+    write(static_cast<uint32_t>(n));
+    self().put_span(p, n);
+  }
+
+  template <class T>
+  void write(const T& x) {
+    if constexpr (std::is_same_v<T, bool>) {
+      const uint8_t b = x ? 1 : 0;
+      self().put_span(&b, 1);
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      self().put_span(&x, sizeof(T));
+    } else if constexpr (std::is_same_v<T, Timestamp>) {
+      write(x.raw());
+    } else if constexpr (codec::kIsBytes<T>) {
+      put_blob(x.data(), x.size());
+    } else if constexpr (codec::kIsVector<T>) {
+      using E = typename T::value_type;
+      write(static_cast<uint32_t>(x.size()));
+      if constexpr (codec::kIsPlainScalar<E>) {
+        self().put_span(x.data(), x.size() * sizeof(E));
+      } else {
+        for (const auto& e : x) write(static_cast<const E&>(e));
+      }
+    } else if constexpr (codec::kIsMap<T>) {
+      write(static_cast<uint32_t>(x.size()));
+      for (const auto& [k, v] : x) {
+        write(k);
+        write(v);
+      }
+    } else if constexpr (FieldListed<T>) {
+      T::fields(x, self());
+    } else {
+      x.encode(self());
+    }
+  }
+};
+
+class BufWriter : public FieldWriter<BufWriter> {
+ public:
+  BufWriter() = default;
+  // Writes into a recycled buffer (capacity retained) so repeated encodes
+  // through a BufferPool stop hitting the allocator.
+  explicit BufWriter(Buffer recycled) : buf_(std::move(recycled)) {
+    buf_.clear();
+  }
+
+  // The buffer is sized ahead of the bytes written (`len_` marks the end
+  // of the message), so a put is a bounds check and a memcpy.
+  void reserve(size_t n) {
+    if (buf_.size() < n) buf_.resize(n);
+  }
+
+  // Bulk append of raw bytes (no length prefix).
+  void put_span(const void* p, size_t n) {
+    if (n != 0) std::memcpy(extend(n), p, n);
+  }
+
+  // Appends `n` bytes and returns a pointer to them, so a fixed-width
+  // record loop can store fields directly.  The pointer is valid until
+  // the next mutating call.
+  uint8_t* extend(size_t n) {
+    if (buf_.size() - len_ < n) buf_.resize(std::max(len_ + n, 2 * len_));
+    uint8_t* p = buf_.data() + len_;
+    len_ += n;
+    return p;
+  }
+
+  size_t size() const { return len_; }
+  Buffer take() {
+    buf_.resize(len_);
+    len_ = 0;
+    return std::move(buf_);
+  }
+
+ private:
+  Buffer buf_;
+  size_t len_ = 0;
+};
+
+// Writer that only tallies bytes — no buffer, no heap allocation.  Walking
+// a message's field list with one yields the exact wire size; the codec
+// fields are fixed-width, so counting is pure arithmetic.
+class CountingWriter : public FieldWriter<CountingWriter> {
+ public:
+  void put_span(const void*, size_t n) { size_ += n; }
+  size_t size() const { return size_; }
+
+ private:
+  size_t size_ = 0;
+};
+
+class BufReader {
+ public:
+  explicit BufReader(const Buffer& b) : data_(b.data()), size_(b.size()) {}
+  BufReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+  // Shared-ownership reader: decode paths that can represent their result
+  // as a view of the wire bytes (Payload, DepMap) alias the buffer through
+  // `owner()` instead of copying, keeping it alive past the decode.
+  explicit BufReader(std::shared_ptr<const Buffer> owner)
+      : data_(owner->data()), size_(owner->size()), owner_(std::move(owner)) {}
+  // Shared-ownership reader over a slice of `owner` (a nested payload).
+  BufReader(const uint8_t* data, size_t size,
+            std::shared_ptr<const Buffer> owner)
+      : data_(data), size_(size), owner_(std::move(owner)) {}
+
+  const std::shared_ptr<const Buffer>& owner() const { return owner_; }
+
+  template <class... Ts>
+  void operator()(Ts&... xs) {
+    (read(xs), ...);
+  }
+
+  template <class T>
+  void trailing(T& x) {
+    if (remaining() > 0) read(x);
+  }
+
+  template <class A, class B>
+  void zipped(std::vector<A>& a, std::vector<B>& b) {
+    const uint32_t n = get_count();
+    a.resize(n);
+    b.resize(n);
+    for (uint32_t i = 0; i < n; ++i) {
+      read(a[i]);
+      read(b[i]);
+    }
+  }
+
+  template <class T>
+  T get() {
+    T x{};
+    read(x);
+    return x;
+  }
+  uint8_t get_u8() { return get<uint8_t>(); }
+  uint16_t get_u16() { return get<uint16_t>(); }
+  uint32_t get_u32() { return get<uint32_t>(); }
+  uint64_t get_u64() { return get<uint64_t>(); }
+  int64_t get_i64() { return get<int64_t>(); }
+  double get_f64() { return get<double>(); }
+  bool get_bool() { return get<bool>(); }
+  std::string get_bytes() { return std::string(get_bytes_view()); }
+
+  // Zero-copy view into the underlying buffer; valid only while the buffer
+  // lives.
+  std::string_view get_bytes_view() {
+    const uint32_t n = get<uint32_t>();
+    return std::string_view(reinterpret_cast<const char*>(get_span(n)), n);
+  }
+
+  // Bounds-checked view of the next `n` raw bytes; advances past them.
+  // Valid only while the underlying buffer lives.
+  const uint8_t* get_span(size_t n) {
+    if (size_ - pos_ < n) throw CodecError("buffer underflow");
+    const uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  size_t remaining() const { return size_ - pos_; }
+  bool done() const { return pos_ == size_; }
+
+ private:
+  // Element count of a vector or map.  Every element encodes to at least
+  // one byte, so a count beyond the bytes left is malformed; rejecting it
+  // before sizing the container keeps a corrupt prefix from allocating
+  // gigabytes.
+  uint32_t get_count() {
+    const uint32_t n = get<uint32_t>();
+    if (n > remaining()) throw CodecError("element count exceeds message");
+    return n;
+  }
+
+  template <class T>
+  void read(T& x) {
+    if constexpr (std::is_same_v<T, bool>) {
+      x = get<uint8_t>() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      using U = std::underlying_type_t<T>;
+      const U v = get<U>();
+      if (v > static_cast<U>(wire_max(T{}))) {
+        throw CodecError("enum value out of range");
+      }
+      x = static_cast<T>(v);
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      std::memcpy(&x, get_span(sizeof(T)), sizeof(T));
+    } else if constexpr (std::is_same_v<T, Timestamp>) {
+      x = Timestamp(get<uint64_t>());
+    } else if constexpr (std::is_same_v<T, Payload>) {
+      const std::string_view s = get_bytes_view();
+      const auto* p = reinterpret_cast<const uint8_t*>(s.data());
+      x = owner_ ? Payload(owner_, p, s.size())
+                 : Payload(Buffer(p, p + s.size()));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      x.assign(get_bytes_view());
+    } else if constexpr (std::is_same_v<T, Value>) {
+      x = Value(get_bytes_view());
+    } else if constexpr (codec::kIsVector<T>) {
+      using E = typename T::value_type;
+      const uint32_t n = get_count();
+      x.clear();
+      if constexpr (codec::kIsPlainScalar<E>) {
+        const uint8_t* p = get_span(size_t{n} * sizeof(E));
+        if constexpr (sizeof(E) == 1) {
+          x.assign(p, p + n);  // Buffer: copies without zero-filling first
+        } else {
+          x.resize(n);
+          if (n != 0) std::memcpy(x.data(), p, size_t{n} * sizeof(E));
+        }
+      } else if constexpr (std::is_same_v<E, bool>) {
+        x.reserve(n);
+        for (uint32_t i = 0; i < n; ++i) x.push_back(get<bool>());
+      } else {
+        x.resize(n);
+        for (E& e : x) read(e);
+      }
+    } else if constexpr (codec::kIsMap<T>) {
+      const uint32_t n = get_count();
+      x.clear();
+      for (uint32_t i = 0; i < n; ++i) {
+        auto k = get<typename T::key_type>();
+        x.insert_or_assign(x.end(), std::move(k),
+                           get<typename T::mapped_type>());
+      }
+    } else if constexpr (FieldListed<T>) {
+      T::fields(x, *this);
+      if constexpr (requires { x.validate(); }) x.validate();
+    } else {
+      x = T::decode(*this);
+    }
+  }
+
+  const uint8_t* data_;
+  size_t size_;
+  size_t pos_ = 0;
+  std::shared_ptr<const Buffer> owner_;
+};
+
+// Size in bytes a message would occupy on the wire.  Walks the message
+// with a CountingWriter: exact, and allocation-free.
 template <typename M>
 size_t encoded_size(const M& m) {
   CountingWriter w;
-  m.encode(w);
+  w(m);
   return w.size();
 }
 
-// True when M supplies a hand-written O(1)-ish wire-size hint.
-template <typename M>
-concept HasSizeHint = requires(const M& m) {
-  { m.size_hint() } -> std::convertible_to<size_t>;
-};
-
-// Reserve hint for encoding `m`: the message's own size_hint() when it has
-// one (cheap arithmetic on the hot types), otherwise an exact counting
-// pass (still allocation-free).
+// Reserve hint for encoding `m`: the exact counted size.
 template <typename M>
 size_t wire_size_hint(const M& m) {
-  if constexpr (HasSizeHint<M>) {
-    return m.size_hint();
-  } else {
-    return encoded_size(m);
-  }
+  return encoded_size(m);
 }
 
 // Encodes a message struct into a fresh buffer.
@@ -239,15 +432,15 @@ template <typename M>
 Buffer encode_message(const M& m) {
   BufWriter w;
   w.reserve(wire_size_hint(m));
-  m.encode(w);
+  w(m);
   return w.take();
 }
 
-// Decodes a message struct that provides `static M decode(BufReader&)`.
+// Decodes a message struct from the bytes of `b`.
 template <typename M>
 M decode_message(const Buffer& b) {
   BufReader r(b);
-  return M::decode(r);
+  return r.get<M>();
 }
 
 // Shared-ownership variant: view-capable fields of the decoded message
@@ -256,7 +449,7 @@ M decode_message(const Buffer& b) {
 template <typename M>
 M decode_message(std::shared_ptr<const Buffer> b) {
   BufReader r(std::move(b));
-  return M::decode(r);
+  return r.get<M>();
 }
 
 // Decodes a nested payload.  When the payload aliases a shared message
@@ -264,7 +457,7 @@ M decode_message(std::shared_ptr<const Buffer> b) {
 template <typename M>
 M decode_message(const Payload& p) {
   BufReader r(p.data(), p.size(), p.owner());
-  return M::decode(r);
+  return r.get<M>();
 }
 
 // Free list of message buffers.  Encoding acquires a buffer whose capacity
@@ -309,7 +502,7 @@ template <typename M>
 Buffer encode_message(const M& m, BufferPool& pool) {
   BufWriter w(pool.acquire());
   w.reserve(wire_size_hint(m));
-  m.encode(w);
+  w(m);
   return w.take();
 }
 

@@ -21,22 +21,9 @@ struct StartDagMsg {
   Buffer session;  // system-specific blob from the client's previous commit
   DagSpec spec;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(txn_id);
-    w.put_u32(client);
-    w.put_bytes(std::string_view(reinterpret_cast<const char*>(session.data()),
-                                 session.size()));
-    spec.encode(w);
-  }
-  static StartDagMsg decode(BufReader& r) {
-    StartDagMsg m;
-    m.txn_id = r.get_u64();
-    m.client = r.get_u32();
-    const std::string_view s = r.get_bytes_view();
-    m.session.assign(s.begin(), s.end());
-    m.spec = DagSpec::decode(r);
-    return m;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.txn_id, s.client, s.session, s.spec);
   }
 };
 
@@ -63,9 +50,11 @@ struct TriggerMsg {
   Payload context;        // non-root: parent context
   Buffer parent_result;   // output of the parent function
 
-  template <typename W>
-  void encode(W& w) const;
-  static TriggerMsg decode(BufReader& r);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.txn_id, s.fn_index, s.from_fn, s.client, s.spec, s.placement,
+      s.session, s.context, s.parent_result);
+  }
 };
 
 struct DagDoneMsg {
@@ -74,92 +63,17 @@ struct DagDoneMsg {
   Buffer session;  // valid when committed
   Buffer result;   // sink function output
 
-  template <typename W>
-  void encode(W& w) const;
-  static DagDoneMsg decode(BufReader& r);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.txn_id, s.committed, s.session, s.result);
+  }
 };
 
 struct AbortNoticeMsg {
   TxnId txn_id = 0;
 
-  template <typename W>
-  void encode(W& w) const { w.put_u64(txn_id); }
-  static AbortNoticeMsg decode(BufReader& r) { return {r.get_u64()}; }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.txn_id); }
 };
-
-template <typename W>
-inline void put_buffer(W& w, const Buffer& b) {
-  w.put_bytes(
-      std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
-}
-
-inline Buffer get_buffer(BufReader& r) {
-  const std::string_view s = r.get_bytes_view();
-  return Buffer(s.begin(), s.end());
-}
-
-template <typename W>
-inline void put_payload(W& w, const Payload& p) {
-  w.put_bytes(
-      std::string_view(reinterpret_cast<const char*>(p.data()), p.size()));
-}
-
-// Reads a length-prefixed blob as a Payload.  With a shared-ownership
-// reader the payload aliases the message buffer; otherwise it owns a copy.
-inline Payload get_payload(BufReader& r) {
-  const std::string_view s = r.get_bytes_view();
-  const auto* p = reinterpret_cast<const uint8_t*>(s.data());
-  if (const auto& owner = r.owner()) {
-    return Payload(owner, p, s.size());
-  }
-  return Payload(Buffer(p, p + s.size()));
-}
-
-template <typename W>
-inline void TriggerMsg::encode(W& w) const {
-  w.put_u64(txn_id);
-  w.put_u32(fn_index);
-  w.put_u32(from_fn);
-  w.put_u32(client);
-  spec.encode(w);
-  w.put_u32(static_cast<uint32_t>(placement.size()));
-  for (net::Address a : placement) w.put_u32(a);
-  put_payload(w, session);
-  put_payload(w, context);
-  put_buffer(w, parent_result);
-}
-
-inline TriggerMsg TriggerMsg::decode(BufReader& r) {
-  TriggerMsg m;
-  m.txn_id = r.get_u64();
-  m.fn_index = r.get_u32();
-  m.from_fn = r.get_u32();
-  m.client = r.get_u32();
-  m.spec = DagSpec::decode(r);
-  const uint32_t n = r.get_u32();
-  m.placement.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.placement.push_back(r.get_u32());
-  m.session = get_payload(r);
-  m.context = get_payload(r);
-  m.parent_result = get_buffer(r);
-  return m;
-}
-
-template <typename W>
-inline void DagDoneMsg::encode(W& w) const {
-  w.put_u64(txn_id);
-  w.put_bool(committed);
-  put_buffer(w, session);
-  put_buffer(w, result);
-}
-
-inline DagDoneMsg DagDoneMsg::decode(BufReader& r) {
-  DagDoneMsg m;
-  m.txn_id = r.get_u64();
-  m.committed = r.get_bool();
-  m.session = get_buffer(r);
-  m.result = get_buffer(r);
-  return m;
-}
 
 }  // namespace faastcc::faas

@@ -79,7 +79,9 @@ void Flags::boolean(std::string_view name, std::string_view help, bool* out) {
 void Flags::integer(std::string_view name, std::string_view help, int* out) {
   Flag f;
   f.name = name;
-  f.value_name = "n";
+  // One-character names are built, not assigned from the literal: GCC 12
+  // misreports the literal assignment as an overlapping copy (-Wrestrict).
+  f.value_name = std::string("n");
   f.help = help;
   f.default_text = std::to_string(*out);
   f.apply = [out](const std::string& v) {
@@ -94,7 +96,7 @@ void Flags::integer(std::string_view name, std::string_view help, int* out) {
 void Flags::u64(std::string_view name, std::string_view help, uint64_t* out) {
   Flag f;
   f.name = name;
-  f.value_name = "n";
+  f.value_name = std::string("n");
   f.help = help;
   f.default_text = std::to_string(*out);
   f.apply = [out](const std::string& v) { return parse_u64(v, out); };
@@ -123,7 +125,7 @@ void Flags::size(std::string_view name, std::string_view help, size_t* out) {
 void Flags::real(std::string_view name, std::string_view help, double* out) {
   Flag f;
   f.name = name;
-  f.value_name = "x";
+  f.value_name = std::string("x");
   f.help = help;
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", *out);
@@ -136,7 +138,7 @@ void Flags::str(std::string_view name, std::string_view help,
                 std::string* out) {
   Flag f;
   f.name = name;
-  f.value_name = "s";
+  f.value_name = std::string("s");
   f.help = help;
   f.default_text = *out;
   f.apply = [out](const std::string& v) {

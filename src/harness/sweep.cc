@@ -76,7 +76,7 @@ Axis parse_axis(const json::Value& doc) {
     const uint64_t n = count->as_u64();
     for (uint64_t i = 0; i < n; ++i) {
       AxisValue v;
-      v.label = "s" + std::to_string(b + i);
+      v.label = std::to_string(b + i).insert(0, 1, 's');  // "s<seed>"
       v.patch = make_patch_object({{"seed", make_number_value(b + i)}});
       axis.values.push_back(std::move(v));
     }

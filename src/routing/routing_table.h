@@ -105,33 +105,19 @@ struct RoutingTable {
 
   // Wire codec (the topology service serves and broadcasts tables).  The
   // replica section is a trailing optional block so an unreplicated table
-  // stays byte-identical to the pre-replication encoding; decode detects
-  // it by the reader having bytes left, which is why every message that
+  // stays byte-identical to the pre-replication encoding; the reader
+  // detects it by having bytes left, which is why every message that
   // embeds a table places it last.
-  size_t size_hint() const {
-    size_t n = 4 + 4 + 4 * partitions.size() + 4 + 4 * slot_owner.size();
-    if (!replicas.empty()) {
-      n += 4;
-      for (const auto& reps : replicas) n += 4 + 4 * reps.size();
-    }
-    return n;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.epoch, s.partitions, s.slot_owner);
+    f.trailing(s.replicas);
   }
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(epoch);
-    w.put_u32(static_cast<uint32_t>(partitions.size()));
-    for (PartitionAddress a : partitions) w.put_u32(a);
-    w.put_u32(static_cast<uint32_t>(slot_owner.size()));
-    for (uint32_t o : slot_owner) w.put_u32(o);
-    if (!replicas.empty()) {
-      w.put_u32(static_cast<uint32_t>(replicas.size()));
-      for (const auto& reps : replicas) {
-        w.put_u32(static_cast<uint32_t>(reps.size()));
-        for (PartitionAddress a : reps) w.put_u32(a);
-      }
-    }
-  }
-  static RoutingTable decode(BufReader& r);
+  // Strict decode: a slot owned by a partition the table does not list is
+  // a corrupted or mis-truncated table (e.g. one that survived a shrink
+  // with a dangling owner); serving it would route keys to a retired
+  // endpoint.
+  void validate() const;
 };
 
 using TablePtr = std::shared_ptr<const RoutingTable>;

@@ -60,12 +60,6 @@ enum EvMethod : uint16_t {
 // TCC storage messages.
 // ---------------------------------------------------------------------------
 
-template <typename W>
-void put_ts(W& w, Timestamp t) {
-  w.put_u64(t.raw());
-}
-inline Timestamp get_ts(BufReader& r) { return Timestamp(r.get_u64()); }
-
 // One versioned value as served by the TCC store: the paper's tuple
 // <k, v, t_v, promise_v>.
 struct VersionedValue {
@@ -74,25 +68,8 @@ struct VersionedValue {
   Timestamp ts;
   Timestamp promise;
 
-  // Exact wire size; keep in sync with encode() (messages_test asserts
-  // size_hint() == encoded_size() for every type that has one).
-  size_t size_hint() const { return 8 + 4 + value.size() + 8 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_bytes(value);
-    put_ts(w, ts);
-    put_ts(w, promise);
-  }
-  static VersionedValue decode(BufReader& r) {
-    VersionedValue v;
-    v.key = r.get_u64();
-    v.value = r.get_bytes();
-    v.ts = get_ts(r);
-    v.promise = get_ts(r);
-    return v;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.key, s.value, s.ts, s.promise); }
 };
 
 // TCC_ReadTX request.  `snapshot` is the upper bound (the client's s_high;
@@ -105,28 +82,10 @@ struct TccReadReq {
   std::vector<Key> keys;
   std::vector<Timestamp> cached_ts;  // parallel to keys; min() == none
 
-  size_t size_hint() const { return 8 + 4 + keys.size() * 16; }
-
-  template <typename W>
-  void encode(W& w) const {
-    put_ts(w, snapshot);
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      w.put_u64(keys[i]);
-      put_ts(w, cached_ts[i]);
-    }
-  }
-  static TccReadReq decode(BufReader& r) {
-    TccReadReq q;
-    q.snapshot = get_ts(r);
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    q.cached_ts.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      q.keys.push_back(r.get_u64());
-      q.cached_ts.push_back(get_ts(r));
-    }
-    return q;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.snapshot);
+    f.zipped(s.keys, s.cached_ts);
   }
 };
 
@@ -141,6 +100,9 @@ struct TccReadResp {
     // through a fresh routing table.
     kWrongOwner = 3,
   };
+  // Largest status on the wire; the reader rejects anything above it.
+  friend constexpr Status wire_max(Status) { return Status::kWrongOwner; }
+
   struct Entry {
     Key key = 0;
     Status status = Status::kMiss;
@@ -151,79 +113,30 @@ struct TccReadResp {
     // the stable time and may later be extended; a version with a known
     // successor has a final promise.
     bool open = false;
+
+    template <class Self, class F>
+    static void fields(Self& s, F&& f) {
+      f(s.key, s.status);
+      if (s.status == Status::kValue || s.status == Status::kUnchanged) {
+        f(s.ts, s.promise, s.open);
+      }
+      if (s.status == Status::kValue) f(s.value);
+    }
   };
   std::vector<Entry> entries;
   Timestamp stable_time;  // the partition's current view; diagnostic
 
-  template <typename W>
-  void encode(W& w) const {
-    put_ts(w, stable_time);
-    w.put_u32(static_cast<uint32_t>(entries.size()));
-    for (const auto& e : entries) {
-      w.put_u64(e.key);
-      w.put_u8(static_cast<uint8_t>(e.status));
-      if (e.status == Status::kValue || e.status == Status::kUnchanged) {
-        put_ts(w, e.ts);
-        put_ts(w, e.promise);
-        w.put_bool(e.open);
-      }
-      if (e.status == Status::kValue) w.put_bytes(e.value);
-    }
-  }
-  static TccReadResp decode(BufReader& r) {
-    TccReadResp resp;
-    resp.stable_time = get_ts(r);
-    const uint32_t n = r.get_u32();
-    resp.entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Entry e;
-      e.key = r.get_u64();
-      e.status = static_cast<Status>(r.get_u8());
-      if (e.status == Status::kValue || e.status == Status::kUnchanged) {
-        e.ts = get_ts(r);
-        e.promise = get_ts(r);
-        e.open = r.get_bool();
-      }
-      if (e.status == Status::kValue) e.value = r.get_bytes();
-      resp.entries.push_back(std::move(e));
-    }
-    return resp;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.stable_time, s.entries); }
 };
 
 struct KeyValue {
   Key key = 0;
   Value value;
 
-  size_t size_hint() const { return 8 + 4 + value.size(); }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_bytes(value);
-  }
-  static KeyValue decode(BufReader& r) {
-    KeyValue kv;
-    kv.key = r.get_u64();
-    kv.value = r.get_bytes();
-    return kv;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.key, s.value); }
 };
-
-template <typename W, typename T>
-void put_vec(W& w, const std::vector<T>& v) {
-  w.put_u32(static_cast<uint32_t>(v.size()));
-  for (const auto& e : v) e.encode(w);
-}
-
-template <typename T>
-std::vector<T> get_vec(BufReader& r) {
-  const uint32_t n = r.get_u32();
-  std::vector<T> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) v.push_back(T::decode(r));
-  return v;
-}
 
 // Prepare phase of a multi-partition commit: reserves a slot so that the
 // participant's safe time (and hence the global stable time) cannot advance
@@ -241,27 +154,9 @@ struct TccPrepareReq {
   Timestamp snapshot_ts;     // SI: the transaction's read snapshot (s_high)
   std::vector<Key> write_keys;  // SI: written keys owned by this partition
 
-  size_t size_hint() const { return 8 + 8 + 1 + 8 + 4 + write_keys.size() * 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(txn);
-    put_ts(w, dep_ts);
-    w.put_bool(si_mode);
-    put_ts(w, snapshot_ts);
-    w.put_u32(static_cast<uint32_t>(write_keys.size()));
-    for (Key k : write_keys) w.put_u64(k);
-  }
-  static TccPrepareReq decode(BufReader& r) {
-    TccPrepareReq q;
-    q.txn = r.get_u64();
-    q.dep_ts = get_ts(r);
-    q.si_mode = r.get_bool();
-    q.snapshot_ts = get_ts(r);
-    const uint32_t n = r.get_u32();
-    q.write_keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.write_keys.push_back(r.get_u64());
-    return q;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.txn, s.dep_ts, s.si_mode, s.snapshot_ts, s.write_keys);
   }
 };
 
@@ -269,26 +164,16 @@ struct TccPrepareResp {
   Timestamp prepare_ts;
   bool ok = true;  // false: SI write-write conflict, transaction must abort
 
-  template <typename W>
-  void encode(W& w) const {
-    put_ts(w, prepare_ts);
-    w.put_bool(ok);
-  }
-  static TccPrepareResp decode(BufReader& r) {
-    TccPrepareResp resp;
-    resp.prepare_ts = get_ts(r);
-    resp.ok = r.get_bool();
-    return resp;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.prepare_ts, s.ok); }
 };
 
 // Releases a prepare without installing anything (SI conflict abort).
 struct TccAbortReq {
   TxnId txn = 0;
 
-  template <typename W>
-  void encode(W& w) const { w.put_u64(txn); }
-  static TccAbortReq decode(BufReader& r) { return {r.get_u64()}; }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.txn); }
 };
 
 // Commit phase.  In the general (multi-partition) case `commit_ts` was
@@ -301,34 +186,20 @@ struct TccCommitReq {
   Timestamp dep_ts;
   std::vector<KeyValue> writes;  // only the keys owned by this partition
 
-  size_t size_hint() const {
-    size_t n = 8 + 8 + 8 + 4;
-    for (const auto& kv : writes) n += kv.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(txn);
-    put_ts(w, commit_ts);
-    put_ts(w, dep_ts);
-    put_vec(w, writes);
-  }
-  static TccCommitReq decode(BufReader& r) {
-    TccCommitReq q;
-    q.txn = r.get_u64();
-    q.commit_ts = get_ts(r);
-    q.dep_ts = get_ts(r);
-    q.writes = get_vec<KeyValue>(r);
-    return q;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.txn, s.commit_ts, s.dep_ts, s.writes);
   }
 };
 
 struct TccCommitResp {
   bool ok = true;
-  template <typename W>
-  void encode(W& w) const { w.put_bool(ok); }
-  static TccCommitResp decode(BufReader& r) { return {r.get_bool()}; }
+  // The timestamp the commit was applied at (assigned by the partition on
+  // the single-partition fast path).  A refusal echoes the request's.
+  Timestamp commit_ts;
+
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.ok, s.commit_ts); }
 };
 
 struct SubscribeReq {
@@ -339,22 +210,8 @@ struct SubscribeReq {
   // 0 = unsequenced (the eventual store's caches don't need the ordering).
   uint64_t seq = 0;
 
-  size_t size_hint() const { return 4 + keys.size() * 8 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-    w.put_u64(seq);
-  }
-  static SubscribeReq decode(BufReader& r) {
-    SubscribeReq q;
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    q.seq = r.get_u64();
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.keys, s.seq); }
 };
 
 // One-way stabilization gossip: partition `partition` will never again
@@ -363,17 +220,8 @@ struct GossipMsg {
   PartitionId partition = 0;
   Timestamp safe_time;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(partition);
-    put_ts(w, safe_time);
-  }
-  static GossipMsg decode(BufReader& r) {
-    GossipMsg g;
-    g.partition = r.get_u32();
-    g.safe_time = get_ts(r);
-    return g;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.partition, s.safe_time); }
 };
 
 // One-way pub/sub push: fresh versions of subscribed keys plus the stable
@@ -393,26 +241,9 @@ struct PushMsg {
   Timestamp stable_time;
   std::vector<VersionedValue> updates;
 
-  size_t size_hint() const {
-    size_t n = 4 + 8 + 8 + 4;
-    for (const auto& vv : updates) n += vv.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(partition);
-    w.put_u64(seq);
-    put_ts(w, stable_time);
-    put_vec(w, updates);
-  }
-  static PushMsg decode(BufReader& r) {
-    PushMsg p;
-    p.partition = r.get_u32();
-    p.seq = r.get_u64();
-    p.stable_time = get_ts(r);
-    p.updates = get_vec<VersionedValue>(r);
-    return p;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.partition, s.seq, s.stable_time, s.updates);
   }
 };
 
@@ -425,21 +256,8 @@ struct PushUpdate {
   Value value;
   Timestamp ts;
 
-  size_t size_hint() const { return 8 + 4 + value.size() + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_bytes(value);
-    put_ts(w, ts);
-  }
-  static PushUpdate decode(BufReader& r) {
-    PushUpdate u;
-    u.key = r.get_u64();
-    u.value = r.get_bytes();
-    u.ts = get_ts(r);
-    return u;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.key, s.value, s.ts); }
 };
 
 // Coalesced pub/sub push (push_coalescing=true): identical semantics and
@@ -452,26 +270,9 @@ struct PushBatchMsg {
   Timestamp stable_time;
   std::vector<PushUpdate> updates;
 
-  size_t size_hint() const {
-    size_t n = 4 + 8 + 8 + 4;
-    for (const auto& u : updates) n += u.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(partition);
-    w.put_u64(seq);
-    put_ts(w, stable_time);
-    put_vec(w, updates);
-  }
-  static PushBatchMsg decode(BufReader& r) {
-    PushBatchMsg p;
-    p.partition = r.get_u32();
-    p.seq = r.get_u64();
-    p.stable_time = get_ts(r);
-    p.updates = get_vec<PushUpdate>(r);
-    return p;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.partition, s.seq, s.stable_time, s.updates);
   }
 };
 
@@ -488,20 +289,9 @@ struct SafeUpMsg {
   uint32_t membership = 0;
   Timestamp subtree_min;
 
-  size_t size_hint() const { return 4 + 4 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(partition);
-    w.put_u32(membership);
-    put_ts(w, subtree_min);
-  }
-  static SafeUpMsg decode(BufReader& r) {
-    SafeUpMsg m;
-    m.partition = r.get_u32();
-    m.membership = r.get_u32();
-    m.subtree_min = get_ts(r);
-    return m;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.partition, s.membership, s.subtree_min);
   }
 };
 
@@ -511,19 +301,8 @@ struct StableDownMsg {
   uint32_t membership = 0;
   Timestamp stable;
 
-  size_t size_hint() const { return 4 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(membership);
-    put_ts(w, stable);
-  }
-  static StableDownMsg decode(BufReader& r) {
-    StableDownMsg m;
-    m.membership = r.get_u32();
-    m.stable = get_ts(r);
-    return m;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.membership, s.stable); }
 };
 
 // ---------------------------------------------------------------------------
@@ -537,19 +316,8 @@ struct MigratedVersion {
   Value value;
   Timestamp ts;
 
-  size_t size_hint() const { return 4 + value.size() + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bytes(value);
-    put_ts(w, ts);
-  }
-  static MigratedVersion decode(BufReader& r) {
-    MigratedVersion v;
-    v.value = r.get_bytes();
-    v.ts = get_ts(r);
-    return v;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.value, s.ts); }
 };
 
 // A whole per-key version chain leaving its old owner.
@@ -557,23 +325,8 @@ struct MigratedChain {
   Key key = 0;
   std::vector<MigratedVersion> versions;  // ascending ts
 
-  size_t size_hint() const {
-    size_t n = 8 + 4;
-    for (const auto& v : versions) n += v.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    put_vec(w, versions);
-  }
-  static MigratedChain decode(BufReader& r) {
-    MigratedChain c;
-    c.key = r.get_u64();
-    c.versions = get_vec<MigratedVersion>(r);
-    return c;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.key, s.versions); }
 };
 
 // Coordinator -> source partition: adopt `table` (sealing the slots it no
@@ -586,21 +339,10 @@ struct TccMigrateOutReq {
   routing::RoutingTable table;
   PartitionId target = 0;
 
-  size_t size_hint() const { return 4 + table.size_hint(); }
-
   // The table goes last: its replica section is a trailing optional block
   // detected by remaining(), so nothing may follow it on the wire.
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(target);
-    table.encode(w);
-  }
-  static TccMigrateOutReq decode(BufReader& r) {
-    TccMigrateOutReq q;
-    q.target = r.get_u32();
-    q.table = routing::RoutingTable::decode(r);
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.target, s.table); }
 };
 
 struct TccMigrateOutResp {
@@ -614,29 +356,9 @@ struct TccMigrateOutResp {
   std::vector<Timestamp> last_heard;
   std::vector<MigratedChain> chains;
 
-  size_t size_hint() const {
-    size_t n = 1 + 8 + 4 + last_heard.size() * 8 + 4;
-    for (const auto& c : chains) n += c.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(ok);
-    put_ts(w, safe_time);
-    w.put_u32(static_cast<uint32_t>(last_heard.size()));
-    for (Timestamp t : last_heard) put_ts(w, t);
-    put_vec(w, chains);
-  }
-  static TccMigrateOutResp decode(BufReader& r) {
-    TccMigrateOutResp resp;
-    resp.ok = r.get_bool();
-    resp.safe_time = get_ts(r);
-    const uint32_t n = r.get_u32();
-    resp.last_heard.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) resp.last_heard.push_back(get_ts(r));
-    resp.chains = get_vec<MigratedChain>(r);
-    return resp;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.ok, s.safe_time, s.last_heard, s.chains);
   }
 };
 
@@ -652,41 +374,17 @@ struct TccMigrateInReq {
   std::vector<Timestamp> last_heard;
   std::vector<MigratedChain> chains;
 
-  size_t size_hint() const {
-    size_t n = 4 + 4 + 4 + 8 + 4 + last_heard.size() * 8 + 4;
-    for (const auto& c : chains) n += c.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(epoch);
-    w.put_u32(source);
-    w.put_u32(expected_sources);
-    put_ts(w, source_safe);
-    w.put_u32(static_cast<uint32_t>(last_heard.size()));
-    for (Timestamp t : last_heard) put_ts(w, t);
-    put_vec(w, chains);
-  }
-  static TccMigrateInReq decode(BufReader& r) {
-    TccMigrateInReq q;
-    q.epoch = r.get_u32();
-    q.source = r.get_u32();
-    q.expected_sources = r.get_u32();
-    q.source_safe = get_ts(r);
-    const uint32_t n = r.get_u32();
-    q.last_heard.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.last_heard.push_back(get_ts(r));
-    q.chains = get_vec<MigratedChain>(r);
-    return q;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.epoch, s.source, s.expected_sources, s.source_safe, s.last_heard,
+      s.chains);
   }
 };
 
 struct TccMigrateInResp {
   bool ok = true;
-  template <typename W>
-  void encode(W& w) const { w.put_bool(ok); }
-  static TccMigrateInResp decode(BufReader& r) { return {r.get_bool()}; }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.ok); }
 };
 
 // ---------------------------------------------------------------------------
@@ -706,34 +404,14 @@ struct TccReplInstallReq {
   uint64_t seq = 0;
   std::vector<KeyValue> writes;
 
-  size_t size_hint() const {
-    size_t n = 8 + 8 + 8 + 4;
-    for (const auto& kv : writes) n += kv.size_hint();
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(txn);
-    put_ts(w, commit_ts);
-    w.put_u64(seq);
-    put_vec(w, writes);
-  }
-  static TccReplInstallReq decode(BufReader& r) {
-    TccReplInstallReq q;
-    q.txn = r.get_u64();
-    q.commit_ts = get_ts(r);
-    q.seq = r.get_u64();
-    q.writes = get_vec<KeyValue>(r);
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.txn, s.commit_ts, s.seq, s.writes); }
 };
 
 struct TccReplInstallResp {
   bool ok = true;
-  template <typename W>
-  void encode(W& w) const { w.put_bool(ok); }
-  static TccReplInstallResp decode(BufReader& r) { return {r.get_bool()}; }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.ok); }
 };
 
 // Leader -> follower, every gossip beat: seal `safe` at the follower and
@@ -746,38 +424,16 @@ struct TccReplSealReq {
   Timestamp safe;
   uint64_t seq_high = 0;
 
-  size_t size_hint() const { return 8 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    put_ts(w, safe);
-    w.put_u64(seq_high);
-  }
-  static TccReplSealReq decode(BufReader& r) {
-    TccReplSealReq q;
-    q.safe = get_ts(r);
-    q.seq_high = r.get_u64();
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.safe, s.seq_high); }
 };
 
 struct TccReplSealResp {
   bool ok = true;
   uint64_t applied_seq = 0;  // follower's contiguous stream high-water
 
-  size_t size_hint() const { return 1 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(ok);
-    w.put_u64(applied_seq);
-  }
-  static TccReplSealResp decode(BufReader& r) {
-    TccReplSealResp p;
-    p.ok = r.get_bool();
-    p.applied_seq = r.get_u64();
-    return p;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.ok, s.applied_seq); }
 };
 
 // A (txn, commit_ts) pair from the leader's resolved-transaction window,
@@ -787,19 +443,8 @@ struct ResolvedTxn {
   TxnId txn = 0;
   Timestamp ts;
 
-  size_t size_hint() const { return 8 + 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(txn);
-    put_ts(w, ts);
-  }
-  static ResolvedTxn decode(BufReader& r) {
-    ResolvedTxn t;
-    t.txn = r.get_u64();
-    t.ts = get_ts(r);
-    return t;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.txn, s.ts); }
 };
 
 // Leader -> lagging/fresh follower: a full re-sync from the chain head
@@ -820,37 +465,17 @@ struct TccBackfillReq {
   // follower that already moved on.
   uint32_t epoch = 0;
 
-  size_t size_hint() const {
-    size_t n = 8 + 8 + 4 + resolved.size() * 16 + 4;
-    for (const auto& c : chains) n += c.size_hint();
-    if (epoch != 0) n += 4;
-    return n;
-  }
-
-  template <typename W>
-  void encode(W& w) const {
-    put_ts(w, safe);
-    w.put_u64(seq_high);
-    put_vec(w, resolved);
-    put_vec(w, chains);
-    if (epoch != 0) w.put_u32(epoch);
-  }
-  static TccBackfillReq decode(BufReader& r) {
-    TccBackfillReq q;
-    q.safe = get_ts(r);
-    q.seq_high = r.get_u64();
-    q.resolved = get_vec<ResolvedTxn>(r);
-    q.chains = get_vec<MigratedChain>(r);
-    if (r.remaining() > 0) q.epoch = r.get_u32();
-    return q;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.safe, s.seq_high, s.resolved, s.chains);
+    f.trailing(s.epoch);
   }
 };
 
 struct TccBackfillResp {
   bool ok = true;
-  template <typename W>
-  void encode(W& w) const { w.put_bool(ok); }
-  static TccBackfillResp decode(BufReader& r) { return {r.get_bool()}; }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.ok); }
 };
 
 // ---------------------------------------------------------------------------
@@ -865,17 +490,8 @@ struct EvVersion {
 
   friend auto operator<=>(const EvVersion&, const EvVersion&) = default;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(counter);
-    w.put_u64(writer);
-  }
-  static EvVersion decode(BufReader& r) {
-    EvVersion v;
-    v.counter = r.get_u64();
-    v.writer = r.get_u64();
-    return v;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.counter, s.writer); }
 };
 
 struct EvItem {
@@ -884,88 +500,40 @@ struct EvItem {
   SimTime written_at = 0;  // assigned by the accepting replica; drives dep GC
   Value payload;  // opaque: HydroCache stores value + dependency metadata
 
-  size_t size_hint() const { return 8 + 16 + 8 + 4 + payload.size(); }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    version.encode(w);
-    w.put_i64(written_at);
-    w.put_bytes(payload);
-  }
-  static EvItem decode(BufReader& r) {
-    EvItem it;
-    it.key = r.get_u64();
-    it.version = EvVersion::decode(r);
-    it.written_at = r.get_i64();
-    it.payload = r.get_bytes();
-    return it;
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) {
+    f(s.key, s.version, s.written_at, s.payload);
   }
 };
 
 struct EvGetReq {
   std::vector<Key> keys;
 
-  size_t size_hint() const { return 4 + keys.size() * 8; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static EvGetReq decode(BufReader& r) {
-    EvGetReq q;
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.keys); }
 };
 
 struct EvGetResp {
   std::vector<EvItem> found;  // keys absent from the replica are omitted
   SimTime global_cut = 0;     // piggybacked dependency-GC watermark
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_i64(global_cut);
-    put_vec(w, found);
-  }
-  static EvGetResp decode(BufReader& r) {
-    EvGetResp resp;
-    resp.global_cut = r.get_i64();
-    resp.found = get_vec<EvItem>(r);
-    return resp;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.global_cut, s.found); }
 };
 
 struct EvPutReq {
   std::vector<EvItem> items;
 
-  template <typename W>
-  void encode(W& w) const { put_vec(w, items); }
-  static EvPutReq decode(BufReader& r) {
-    EvPutReq q;
-    q.items = get_vec<EvItem>(r);
-    return q;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.items); }
 };
 
 struct EvPutResp {
   std::vector<EvVersion> versions;  // assigned versions, parallel to items
   SimTime global_cut = 0;           // piggybacked dependency-GC watermark
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_i64(global_cut);
-    put_vec(w, versions);
-  }
-  static EvPutResp decode(BufReader& r) {
-    EvPutResp resp;
-    resp.global_cut = r.get_i64();
-    resp.versions = get_vec<EvVersion>(r);
-    return resp;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.global_cut, s.versions); }
 };
 
 // Anti-entropy batch between replicas of the same eventual partition.
@@ -975,17 +543,8 @@ struct EvGossipMsg {
   SimTime sent_at = 0;
   std::vector<EvItem> items;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_i64(sent_at);
-    put_vec(w, items);
-  }
-  static EvGossipMsg decode(BufReader& r) {
-    EvGossipMsg g;
-    g.sent_at = r.get_i64();
-    g.items = get_vec<EvItem>(r);
-    return g;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.sent_at, s.items); }
 };
 
 // Gossiped dependency-GC horizon: the sending replica has applied every
@@ -996,17 +555,8 @@ struct EvStableCutMsg {
   uint64_t replica = 0;
   SimTime cut = 0;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(replica);
-    w.put_i64(cut);
-  }
-  static EvStableCutMsg decode(BufReader& r) {
-    EvStableCutMsg m;
-    m.replica = r.get_u64();
-    m.cut = r.get_i64();
-    return m;
-  }
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.replica, s.cut); }
 };
 
 }  // namespace faastcc::storage

@@ -67,12 +67,8 @@ struct WorkloadParams {
 struct StepArgs {
   std::vector<Key> keys;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static StepArgs decode(BufReader& r);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.keys); }
 };
 
 struct SinkArgs {
@@ -80,14 +76,8 @@ struct SinkArgs {
   Key write_key = 0;
   Value value;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-    w.put_u64(write_key);
-    w.put_bytes(value);
-  }
-  static SinkArgs decode(BufReader& r);
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.keys, s.write_key, s.value); }
 };
 
 class WorkloadGen {

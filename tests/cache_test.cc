@@ -21,8 +21,6 @@ using client::SnapshotInterval;
 using storage::KeyValue;
 using storage::TccReadResp;
 
-Timestamp ts(uint64_t us) { return Timestamp(us, 0, 0); }
-
 // ---------------------------------------------------------------------------
 // LruIndex
 // ---------------------------------------------------------------------------
@@ -662,9 +660,7 @@ class HydroCacheTest : public ::testing::Test {
     HydroStored stored;
     stored.value = std::move(v);
     stored.deps = std::move(deps);
-    BufWriter w;
-    stored.encode(w);
-    const Buffer payload = w.take();
+    const Buffer payload = encode_message(stored);
     storage::EvItem item;
     item.key = k;
     item.version = storage::EvVersion{counter, 99};

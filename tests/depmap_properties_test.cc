@@ -108,7 +108,9 @@ void expect_equivalent(const DepMap& map, const Model& model,
     EXPECT_EQ(got->counter, d.counter) << what << " key " << k;
     EXPECT_EQ(got->written_at, d.written_at) << what << " key " << k;
     EXPECT_EQ(got->read, d.read) << what << " key " << k;
-    if (!d.read) EXPECT_EQ(got->level, d.level) << what << " key " << k;
+    if (!d.read) {
+      EXPECT_EQ(got->level, d.level) << what << " key " << k;
+    }
   }
   // And the iteration agrees (also exercises the sorted-order contract).
   Key prev = 0;

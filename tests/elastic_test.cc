@@ -190,7 +190,9 @@ TEST(ElasticIn, TwentyFourToSixteenReplicated) {
     expect_scaled_in_clean(cluster, r, 16);
     // Every follower of a drained partition is retired too.
     for (auto& f : cluster.tcc_followers()) {
-      if (f->id() >= 16) EXPECT_TRUE(f->retired()) << "follower of " << f->id();
+      if (f->id() >= 16) {
+        EXPECT_TRUE(f->retired()) << "follower of " << f->id();
+      }
     }
   }
 }

@@ -326,8 +326,7 @@ TEST(CommitRetry, ExpiredPrepareRefusesRetriedCommit) {
     commit.writes.push_back(storage::KeyValue{1, "late"});
     Buffer raw =
         co_await rpc.call_raw(100, storage::kTccCommit, rpc.encode(commit));
-    BufReader r(raw);
-    const auto resp = storage::TccCommitResp::decode(r);
+    const auto resp = decode_message<storage::TccCommitResp>(raw);
     EXPECT_FALSE(resp.ok) << "partition acked a commit it dropped";
     EXPECT_EQ(part.store().num_versions(), 0u);
   });
@@ -369,8 +368,7 @@ TEST(CommitRetry, OracleCatchesAckedExpiredCommit) {
     oracle.on_commit_phase(9, {1});
     Buffer raw =
         co_await rpc.call_raw(100, storage::kTccCommit, rpc.encode(commit));
-    BufReader r(raw);
-    const auto resp = storage::TccCommitResp::decode(r);
+    const auto resp = decode_message<storage::TccCommitResp>(raw);
     EXPECT_TRUE(resp.ok);  // the bug: acked without installing
     EXPECT_EQ(part.store().num_versions(), 0u);
     oracle.on_commit_ack(9, presp.prepare_ts, Timestamp::min());
@@ -422,10 +420,9 @@ TEST(CommitRetry, DedupWindowEvictsFifoNotWholesale) {
     replay.writes.push_back(storage::KeyValue{1, "b"});
     Buffer raw =
         co_await rpc.call_raw(100, storage::kTccCommit, rpc.encode(replay));
-    BufReader r(raw);
-    const auto resp = storage::TccCommitResp::decode(r);
+    const auto resp = decode_message<storage::TccCommitResp>(raw);
     EXPECT_TRUE(resp.ok);
-    EXPECT_EQ(Timestamp(r.get_u64()), t2) << "replay re-assigned a timestamp";
+    EXPECT_EQ(resp.commit_ts, t2) << "replay re-assigned a timestamp";
     EXPECT_EQ(part.store().num_versions(), versions)
         << "replayed commit minted a second version";
     EXPECT_EQ(part.counters().duplicate_commits.value(), dups + 1);

@@ -93,12 +93,9 @@ TEST(RoutingTable, SlotsOfPartitionInvertsSlotOwner) {
 TEST(RoutingTable, CodecRoundTripsAndSizeHintIsExact) {
   const RoutingTable t =
       RoutingTable::initial(addrs(6)).with_partitions_added(addrs(2, 200));
-  BufWriter w;
-  t.encode(w);
-  const Buffer b = w.take();
-  EXPECT_EQ(b.size(), t.size_hint());
-  BufReader r(b);
-  const RoutingTable d = RoutingTable::decode(r);
+  const Buffer b = encode_message(t);
+  EXPECT_EQ(b.size(), wire_size_hint(t));
+  const RoutingTable d = decode_message<RoutingTable>(b);
   EXPECT_EQ(d.epoch, t.epoch);
   EXPECT_EQ(d.partitions, t.partitions);
   EXPECT_EQ(d.slot_owner, t.slot_owner);
@@ -106,25 +103,20 @@ TEST(RoutingTable, CodecRoundTripsAndSizeHintIsExact) {
 
 TEST(RoutingTable, ReplicaCodecIsTrailingOptionalAndRoundTrips) {
   RoutingTable plain = RoutingTable::initial(addrs(4));
-  BufWriter w0;
-  plain.encode(w0);
-  const Buffer b0 = w0.take();
-  EXPECT_EQ(b0.size(), plain.size_hint());
+  const Buffer b0 = encode_message(plain);
+  EXPECT_EQ(b0.size(), wire_size_hint(plain));
 
   RoutingTable t = plain;
   t.replicas = {{6000, 6001}, {6004}, {}, {6012}};
-  BufWriter w;
-  t.encode(w);
-  const Buffer b = w.take();
-  EXPECT_EQ(b.size(), t.size_hint());
+  const Buffer b = encode_message(t);
+  EXPECT_EQ(b.size(), wire_size_hint(t));
   // The replicated encoding is a strict extension: the unreplicated prefix
   // is byte-identical, so pre-replication decoders and checksums are
   // unaffected by tables that never carry replicas.
   ASSERT_GT(b.size(), b0.size());
   EXPECT_EQ(std::memcmp(b.data(), b0.data(), b0.size()), 0);
 
-  BufReader r(b);
-  const RoutingTable d = RoutingTable::decode(r);
+  const RoutingTable d = decode_message<RoutingTable>(b);
   EXPECT_TRUE(d.replicated());
   EXPECT_EQ(d.replicas, t.replicas);
   EXPECT_EQ(d.replicas_of(0),
@@ -132,8 +124,7 @@ TEST(RoutingTable, ReplicaCodecIsTrailingOptionalAndRoundTrips) {
   EXPECT_TRUE(d.replicas_of(2).empty());
   EXPECT_TRUE(d.replicas_of(99).empty());  // out of range -> no chain
 
-  BufReader r0(b0);
-  EXPECT_FALSE(RoutingTable::decode(r0).replicated());
+  EXPECT_FALSE(decode_message<RoutingTable>(b0).replicated());
 }
 
 TEST(RoutingTable, ScaleInRetiresTrailingPartitionsOnly) {
@@ -176,12 +167,9 @@ TEST(RoutingTable, AddThenRemoveRestoresOriginalOwnership) {
 TEST(RoutingTable, ScaleInCodecRoundTripsReplicatedAndNot) {
   RoutingTable t =
       RoutingTable::initial(addrs(5)).with_partitions_removed(2);
-  BufWriter w;
-  t.encode(w);
-  const Buffer b = w.take();
-  EXPECT_EQ(b.size(), t.size_hint());
-  BufReader r(b);
-  const RoutingTable d = RoutingTable::decode(r);
+  const Buffer b = encode_message(t);
+  EXPECT_EQ(b.size(), wire_size_hint(t));
+  const RoutingTable d = decode_message<RoutingTable>(b);
   EXPECT_EQ(d.epoch, t.epoch);
   EXPECT_EQ(d.partitions, t.partitions);
   EXPECT_EQ(d.slot_owner, t.slot_owner);
@@ -192,12 +180,9 @@ TEST(RoutingTable, ScaleInCodecRoundTripsReplicatedAndNot) {
   const RoutingTable shrunk = rt.with_partitions_removed(1);
   ASSERT_TRUE(shrunk.replicated());
   EXPECT_EQ(shrunk.replicas.size(), 3u);  // retiree's chain dropped with it
-  BufWriter w2;
-  shrunk.encode(w2);
-  const Buffer b2 = w2.take();
-  EXPECT_EQ(b2.size(), shrunk.size_hint());
-  BufReader r2(b2);
-  const RoutingTable d2 = RoutingTable::decode(r2);
+  const Buffer b2 = encode_message(shrunk);
+  EXPECT_EQ(b2.size(), wire_size_hint(shrunk));
+  const RoutingTable d2 = decode_message<RoutingTable>(b2);
   EXPECT_EQ(d2.replicas, shrunk.replicas);
   EXPECT_EQ(d2.slot_owner, shrunk.slot_owner);
 }
@@ -207,21 +192,15 @@ TEST(RoutingTable, StrictDecodeRejectsRetiredOwnersAndBadReplicaCount) {
   // corrupt: it can route a key to an owner with no address.
   RoutingTable bad = RoutingTable::initial(addrs(4));
   bad.slot_owner[3] = 7;  // beyond num_partitions
-  BufWriter w;
-  bad.encode(w);
-  const Buffer b = w.take();
-  BufReader r(b);
-  EXPECT_THROW(RoutingTable::decode(r), CodecError);
+  const Buffer b = encode_message(bad);
+  EXPECT_THROW(decode_message<RoutingTable>(b), CodecError);
 
   // Replica block with the wrong number of chains (e.g. pre-shrink chains
   // glued onto a post-shrink partition list).
   RoutingTable mismatched = RoutingTable::initial(addrs(3));
   mismatched.replicas = {{6000}, {6004}};  // 2 chains for 3 partitions
-  BufWriter w2;
-  mismatched.encode(w2);
-  const Buffer b2 = w2.take();
-  BufReader r2(b2);
-  EXPECT_THROW(RoutingTable::decode(r2), CodecError);
+  const Buffer b2 = encode_message(mismatched);
+  EXPECT_THROW(decode_message<RoutingTable>(b2), CodecError);
 }
 
 TEST(RoutingTable, WithLeaderReplacedPromotesAndRetiresDeadLeader) {

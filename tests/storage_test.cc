@@ -479,7 +479,7 @@ TEST_F(TccClusterTest, PendingPrepareHoldsBackSafeTime) {
   run([&]() -> sim::Task<void> {
     auto resp = co_await client_rpc_.call<TccPrepareResp>(
         partitions_[0]->address(), kTccPrepare,
-        TccPrepareReq{77, Timestamp::min()});
+        TccPrepareReq{77, Timestamp::min(), false, Timestamp::min(), {}});
     co_await sim::sleep_for(loop_, milliseconds(30));
     // With txn 77 prepared but never committed, partition 0's safe time is
     // pinned just below the prepare timestamp.
