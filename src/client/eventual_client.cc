@@ -70,7 +70,9 @@ sim::Task<std::optional<std::vector<Value>>> EventualTxn::read(
 
 void EventualTxn::write(Key k, Value v) { ctx_.write_set[k] = std::move(v); }
 
-Buffer EventualTxn::export_context() const { return encode_message(ctx_); }
+ExportedContext EventualTxn::export_context() const {
+  return {encode_message(ctx_), 0};
+}
 
 sim::Task<std::optional<Buffer>> EventualTxn::commit() {
   if (!ctx_.write_set.empty()) {

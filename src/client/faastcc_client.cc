@@ -168,13 +168,11 @@ void FaasTccTxn::write(Key k, Value v) {
   ctx_.write_set[k] = std::move(v);
 }
 
-Buffer FaasTccTxn::export_context() const { return encode_message(ctx_); }
-
-size_t FaasTccTxn::metadata_bytes() const {
+ExportedContext FaasTccTxn::export_context() const {
   // The coordination metadata is the snapshot interval alone: two
   // timestamps (§6.4) — plus, once an epoch bump has been observed, the
   // 4-byte routing epoch the v2 context carries.
-  return 16 + (ctx_.routing_epoch > 1 ? 4 : 0);
+  return {encode_message(ctx_), 16u + (ctx_.routing_epoch > 1 ? 4u : 0u)};
 }
 
 sim::Task<std::optional<Buffer>> FaasTccTxn::commit() {

@@ -113,8 +113,7 @@ class FaasTccTxn final : public FunctionTxn {
   sim::Task<std::optional<std::vector<Value>>> read(
       std::vector<Key> keys) override;
   void write(Key k, Value v) override;
-  Buffer export_context() const override;
-  size_t metadata_bytes() const override;
+  ExportedContext export_context() const override;
   sim::Task<std::optional<Buffer>> commit() override;
 
   const SnapshotInterval& interval() const { return ctx_.interval; }

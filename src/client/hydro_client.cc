@@ -140,41 +140,14 @@ cache::DepMap HydroTxn::shipped_deps() const {
   return shipped;
 }
 
-Buffer HydroTxn::export_context() const {
+ExportedContext HydroTxn::export_context() const {
   HydroContext out;
   out.deps = shipped_deps();
   out.lamport = ctx_.lamport;
   out.global_cut = ctx_.global_cut;
   out.write_set = ctx_.write_set;
-  return encode_message(out);
-}
-
-size_t HydroTxn::metadata_bytes() const {
-  // Same number as shipped_deps().wire_bytes(), but computed by counting
-  // the surviving entries instead of materializing the pruned copy — this
-  // runs per function execution (twice when tracing), and the copy was a
-  // measurable share of HydroCache wall time.
-  const SimTime horizon =
-      std::min(ctx_.global_cut,
-               adapter_.rpc_.now() - adapter_.config_.dep_gc_window);
-  const bool restricted =
-      info_.is_static && adapter_.config_.static_metadata_optimization;
-  std::unordered_set<Key> relevant;
-  if (restricted) {
-    relevant.insert(info_.declared_read_set.begin(),
-                    info_.declared_read_set.end());
-    relevant.insert(info_.declared_write_set.begin(),
-                    info_.declared_write_set.end());
-  }
-  size_t n = 0;
-  ctx_.deps.for_each([&](Key k, const cache::Dep& d) {
-    if (!d.read && d.written_at < horizon) return;
-    // Read markers survive restrict_to (they drive conflict aborts), so
-    // only non-read entries are subject to the declared-set pruning.
-    if (restricted && !d.read && relevant.count(k) == 0) return;
-    ++n;
-  });
-  return 4 + n * cache::kDepWireBytes;
+  const size_t metadata = out.deps.wire_bytes();
+  return {encode_message(out), metadata};
 }
 
 // The context as carried into the client's next transaction: everything

@@ -81,8 +81,7 @@ class HydroTxn final : public FunctionTxn {
   sim::Task<std::optional<std::vector<Value>>> read(
       std::vector<Key> keys) override;
   void write(Key k, Value v) override;
-  Buffer export_context() const override;
-  size_t metadata_bytes() const override;
+  ExportedContext export_context() const override;
   sim::Task<std::optional<Buffer>> commit() override;
 
  private:

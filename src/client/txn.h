@@ -36,6 +36,16 @@ struct TxnInfo {
   obs::TraceContext trace;
 };
 
+// A context as exported, with its metadata size measured on the bytes
+// actually shipped (what HydroCache ships depends on the time of export).
+struct ExportedContext {
+  Buffer bytes;
+  // Size of the pure coordination metadata inside `bytes` — the quantity
+  // Fig. 5 reports (16 bytes for FaaSTCC; the dependency map for
+  // HydroCache).  Excludes the write set, which both systems carry alike.
+  size_t metadata_bytes = 0;
+};
+
 class FunctionTxn {
  public:
   virtual ~FunctionTxn() = default;
@@ -51,12 +61,7 @@ class FunctionTxn {
 
   // Serialized context handed to downstream functions (snapshot interval +
   // write set, dependency map + write set, ...).
-  virtual Buffer export_context() const = 0;
-
-  // Size of the pure coordination metadata inside the context — the
-  // quantity Fig. 5 reports (16 bytes for FaaSTCC; the dependency map for
-  // HydroCache).  Excludes the write set, which both systems carry alike.
-  virtual size_t metadata_bytes() const = 0;
+  virtual ExportedContext export_context() const = 0;
 
   // Sink only: makes the write set durable and atomically visible.
   // Returns the session blob to thread into the client's next DAG, or

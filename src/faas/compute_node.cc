@@ -268,20 +268,20 @@ sim::Task<void> ComputeNode::execute(Work work) {
   }
 
   // Forward context + result to every child.
-  Buffer context = txn->export_context();
-  charge_compute(context_cost(context.size()));
-  co_await sim::sleep_for(rpc_.loop(), context_cost(context.size()));
+  client::ExportedContext context = txn->export_context();
+  charge_compute(context_cost(context.bytes.size()));
+  co_await sim::sleep_for(rpc_.loop(), context_cost(context.bytes.size()));
   if (metrics_ != nullptr) {
-    const auto md = static_cast<double>(txn->metadata_bytes());
+    const auto md = static_cast<double>(context.metadata_bytes);
     for (size_t i = 0; i < fn.children.size(); ++i) {
       metrics_->metadata_bytes.add(md);
     }
   }
   if (tracer_ != nullptr) {
     tracer_->annotate(span, "context_bytes",
-                      static_cast<uint64_t>(context.size()));
+                      static_cast<uint64_t>(context.bytes.size()));
     tracer_->annotate(span, "metadata_bytes",
-                      static_cast<uint64_t>(txn->metadata_bytes()));
+                      static_cast<uint64_t>(context.metadata_bytes));
   }
   // One message, re-sent per child: send() encodes from a const ref, so the
   // (potentially large) spec/context/result fields are never copied per
@@ -292,7 +292,7 @@ sim::Task<void> ComputeNode::execute(Work work) {
   next.client = t.client;
   next.spec = t.spec;
   next.placement = t.placement;
-  next.context = std::move(context);
+  next.context = std::move(context.bytes);
   next.parent_result = std::move(result);
   for (uint32_t child : fn.children) {
     next.fn_index = child;

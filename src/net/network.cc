@@ -60,8 +60,8 @@ bool Network::crashed_at(Address a, SimTime t) const {
   return false;
 }
 
-Duration Network::delivery_delay(Address from, Address to, size_t bytes) {
-  if (is_local(from, to)) {
+Duration Network::delivery_delay(bool local, size_t bytes) {
+  if (local) {
     return params_.local_delivery;
   }
   const auto serialization = static_cast<Duration>(
@@ -74,29 +74,53 @@ Duration Network::delivery_delay(Address from, Address to, size_t bytes) {
   return params_.base_latency + jitter + serialization;
 }
 
+struct Network::InFlight {
+  Network* net;
+  Message m;
+};
+
+void Network::run_delivery(void* ctx) {
+  auto* rec = static_cast<InFlight*>(ctx);
+  Network* net = rec->net;
+  Message m = std::move(rec->m);
+  delete rec;
+  net->dispatch(std::move(m));
+}
+
+void Network::drop_delivery(void* ctx) {
+  // The loop is being destroyed with the message still queued; the
+  // Network may already be gone, so only the record and payload are freed.
+  delete static_cast<InFlight*>(ctx);
+}
+
 void Network::deliver(Message m, Duration delay) {
-  loop_.schedule_after(delay, [this, m = std::move(m)]() mutable {
-    if (faults_enabled_ && crashed_at(m.to, loop_.now())) {
-      // Receiver is down at delivery time: the message is lost, even over
-      // IPC (a crashed process receives nothing).
-      faults_crash_dropped_.inc();
-      loop_.buffer_pool().release(std::move(m.payload));
-      return;
-    }
-    auto it = endpoints_.find(m.to);
-    if (it == endpoints_.end()) {
-      messages_dropped_.inc();
-      LOG_DEBUG("dropping message to unregistered address " << m.to);
-      loop_.buffer_pool().release(std::move(m.payload));
-      return;
-    }
-    it->second(std::move(m));
-  });
+  loop_.schedule_event_at(loop_.now() + delay, &Network::run_delivery,
+                          &Network::drop_delivery,
+                          new InFlight{this, std::move(m)});
+}
+
+void Network::dispatch(Message m) {
+  if (faults_enabled_ && crashed_at(m.to, loop_.now())) {
+    // Receiver is down at delivery time: the message is lost, even over
+    // IPC (a crashed process receives nothing).
+    faults_crash_dropped_.inc();
+    loop_.buffer_pool().release(std::move(m.payload));
+    return;
+  }
+  auto it = endpoints_.find(m.to);
+  if (it == endpoints_.end()) {
+    messages_dropped_.inc();
+    LOG_DEBUG("dropping message to unregistered address " << m.to);
+    loop_.buffer_pool().release(std::move(m.payload));
+    return;
+  }
+  it->second(std::move(m));
 }
 
 void Network::send(Message m) {
   messages_sent_.inc();
   bytes_sent_.inc(m.wire_size());
+  const bool local = is_local(m.from, m.to);
   if (faults_enabled_) {
     if (crashed_at(m.from, loop_.now())) {
       faults_crash_dropped_.inc();
@@ -104,7 +128,7 @@ void Network::send(Message m) {
     }
     // Loss, duplication and spikes model the shared fabric; same-node IPC
     // is a memory queue and stays reliable.
-    if (!is_local(m.from, m.to)) {
+    if (!local) {
       const double loss = link_loss(m.from, m.to);
       if (loss > 0 && fault_rng_.next_bool(loss)) {
         faults_lost_.inc();
@@ -125,16 +149,15 @@ void Network::send(Message m) {
         // The copy draws its own jitter, so the two deliveries interleave
         // arbitrarily with other traffic.
         const Duration copy_delay =
-            delivery_delay(copy.from, copy.to, copy.wire_size()) + extra;
+            delivery_delay(local, copy.wire_size()) + extra;
         deliver(std::move(copy), copy_delay);
       }
-      const Duration delay =
-          delivery_delay(m.from, m.to, m.wire_size()) + extra;
+      const Duration delay = delivery_delay(local, m.wire_size()) + extra;
       deliver(std::move(m), delay);
       return;
     }
   }
-  const Duration delay = delivery_delay(m.from, m.to, m.wire_size());
+  const Duration delay = delivery_delay(local, m.wire_size());
   deliver(std::move(m), delay);
 }
 

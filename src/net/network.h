@@ -168,9 +168,20 @@ class Network {
   uint64_t rpc_retries() const { return rpc_retries_.value(); }
 
  private:
-  Duration delivery_delay(Address from, Address to, size_t bytes);
+  // A message between send and delivery, one heap record each.  It is
+  // queued on the loop as a raw event (schedule_event_at), so a delivery
+  // boxes no closure.  The records are deliberately not pooled: on the
+  // HydroCache workload, whose 16-165 KB contexts share the heap with
+  // them, pooling the records too raised peak RSS by a further 2-4%
+  // through fragmentation (docs/performance.md, mechanism 7).
+  struct InFlight;
+  static void run_delivery(void* ctx);
+  static void drop_delivery(void* ctx);
+
+  Duration delivery_delay(bool local, size_t bytes);
   double link_loss(Address from, Address to) const;
   void deliver(Message m, Duration delay);
+  void dispatch(Message m);
 
   sim::EventLoop& loop_;
   NetworkParams params_;

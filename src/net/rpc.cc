@@ -12,12 +12,76 @@ RpcNode::RpcNode(Network& network, Address address)
                              [this](Message m) { on_message(std::move(m)); });
 }
 
+namespace {
+
+template <typename H>
+void put_handler(std::vector<std::unique_ptr<H>>& table, MethodId method,
+                 H handler) {
+  if (table.size() <= method) table.resize(size_t{method} + 1);
+  if (table[method]) {
+    *table[method] = std::move(handler);
+  } else {
+    table[method] = std::make_unique<H>(std::move(handler));
+  }
+}
+
+template <typename H>
+H* find_handler(const std::vector<std::unique_ptr<H>>& table,
+                MethodId method) {
+  return method < table.size() ? table[method].get() : nullptr;
+}
+
+}  // namespace
+
+void RpcNode::PendingTable::insert(uint64_t id, Pending p) {
+  assert(id != 0);
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const size_t mask = slots_.size() - 1;
+  size_t i = id & mask;
+  while (slots_[i].id != 0) i = (i + 1) & mask;
+  slots_[i].id = id;
+  slots_[i].call = std::move(p);
+  ++size_;
+}
+
+std::optional<RpcNode::Pending> RpcNode::PendingTable::take(uint64_t id) {
+  if (size_ == 0) return std::nullopt;
+  const size_t mask = slots_.size() - 1;
+  size_t i = id & mask;
+  for (; slots_[i].id != id; i = (i + 1) & mask) {
+    if (slots_[i].id == 0) return std::nullopt;
+  }
+  std::optional<Pending> out(std::move(slots_[i].call));
+  // Backward shift: pull later entries of the probe run into the hole
+  // unless that would move one before its home slot.
+  size_t hole = i;
+  for (size_t j = (i + 1) & mask; slots_[j].id != 0; j = (j + 1) & mask) {
+    const size_t home = slots_[j].id & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = std::move(slots_[j]);
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+  return out;
+}
+
+void RpcNode::PendingTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_ = std::vector<Slot>(old.empty() ? 16 : 2 * old.size());
+  size_ = 0;
+  for (Slot& s : old) {
+    if (s.id != 0) insert(s.id, std::move(s.call));
+  }
+}
+
 void RpcNode::handle(MethodId method, RequestHandler handler) {
-  handlers_[method] = std::move(handler);
+  put_handler(handlers_, method, std::move(handler));
 }
 
 void RpcNode::handle_oneway(MethodId method, OneWayHandler handler) {
-  oneway_handlers_[method] = std::move(handler);
+  put_handler(oneway_handlers_, method, std::move(handler));
 }
 
 void RpcNode::gate_on_epoch(MethodId method) {
@@ -31,8 +95,10 @@ sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized(
     Address to, MethodId method, Buffer request, Duration timeout,
     obs::TraceContext trace) {
   if (timeout == kUseDefaultTimeout) {
-    timeout =
-        network_.is_local(address_, to) ? 0 : network_.default_rpc_timeout();
+    // Colocated calls never time out; with no default there is nothing to
+    // resolve, and the network does the is_local lookup for the delivery.
+    const Duration d = network_.default_rpc_timeout();
+    timeout = d == 0 || network_.is_local(address_, to) ? 0 : d;
   }
   const uint64_t id = next_request_id_++;
   Message m;
@@ -46,10 +112,9 @@ sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized(
   m.routing_epoch = routing_epoch_;
   const size_t req_bytes = m.wire_size();
 
-  auto [it, inserted] = pending_.emplace(
-      id, Pending{sim::Promise<SizedResponse>(loop()), req_bytes});
-  assert(inserted);
-  auto future = it->second.promise.get_future();
+  sim::Promise<SizedResponse> promise(loop());
+  auto future = promise.get_future();
+  pending_.insert(id, Pending{std::move(promise), req_bytes});
   network_.send(std::move(m));
   if (timeout > 0) {
     // The timer is scheduled only when a timeout applies, so fault-free
@@ -60,15 +125,13 @@ sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized(
 }
 
 void RpcNode::on_call_timeout(uint64_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // response already arrived
-  Pending p = std::move(it->second);
-  pending_.erase(it);
+  std::optional<Pending> p = pending_.take(id);
+  if (!p) return;  // response already arrived
   network_.note_rpc_timeout();
   SizedResponse r;
-  r.request_wire_bytes = p.request_wire_bytes;
+  r.request_wire_bytes = p->request_wire_bytes;
   r.status = RpcStatus::kTimeout;
-  p.promise.set_value(std::move(r));
+  p->promise.set_value(std::move(r));
 }
 
 sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized_retry(
@@ -163,47 +226,45 @@ void RpcNode::on_message(Message m) {
         network_.send(std::move(r));
         return;
       }
-      auto it = handlers_.find(m.method);
-      if (it == handlers_.end()) {
+      RequestHandler* handler = find_handler(handlers_, m.method);
+      if (handler == nullptr) {
         LOG_ERROR("no handler for method " << m.method << " at " << address_);
         recycle(std::move(m.payload));
         return;
       }
       // Handlers read this synchronously before their first suspension.
       inbound_trace_ = m.trace;
-      sim::spawn(run_handler(it->second, std::move(m)));
+      sim::spawn(run_handler(*handler, std::move(m)));
       return;
     }
     case MessageKind::kResponse: {
-      auto it = pending_.find(m.request_id);
-      if (it == pending_.end()) {
+      std::optional<Pending> p = pending_.take(m.request_id);
+      if (!p) {
         // Either a duplicate delivery or a response that lost the race
         // against its timeout.
         LOG_DEBUG("orphan response at " << address_);
         recycle(std::move(m.payload));
         return;
       }
-      Pending p = std::move(it->second);
       const size_t resp_bytes = m.wire_size();
-      pending_.erase(it);
       SizedResponse r;
       r.payload = std::move(m.payload);
-      r.request_wire_bytes = p.request_wire_bytes;
+      r.request_wire_bytes = p->request_wire_bytes;
       r.response_wire_bytes = resp_bytes;
       r.status = m.wrong_epoch ? RpcStatus::kWrongEpoch : RpcStatus::kOk;
       r.peer_epoch = m.routing_epoch;
-      p.promise.set_value(std::move(r));
+      p->promise.set_value(std::move(r));
       return;
     }
     case MessageKind::kOneWay: {
-      auto it = oneway_handlers_.find(m.method);
-      if (it == oneway_handlers_.end()) {
+      OneWayHandler* handler = find_handler(oneway_handlers_, m.method);
+      if (handler == nullptr) {
         LOG_DEBUG("no one-way handler for method " << m.method);
         recycle(std::move(m.payload));
         return;
       }
       inbound_trace_ = m.trace;
-      it->second(std::move(m.payload), m.from);
+      (*handler)(std::move(m.payload), m.from);
       return;
     }
   }

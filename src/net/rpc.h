@@ -18,8 +18,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/serialize.h"
 #include "net/network.h"
@@ -219,13 +219,37 @@ class RpcNode {
   uint32_t routing_epoch_ = 0;
   std::vector<MethodId> epoch_gated_;
   std::function<void()> stale_epoch_cb_;
-  std::unordered_map<MethodId, RequestHandler> handlers_;
-  std::unordered_map<MethodId, OneWayHandler> oneway_handlers_;
+  // Handlers indexed by method id.  Each is boxed so that registering
+  // another method never moves one whose coroutines are suspended: a
+  // coroutine lambda refers to its closure object in place.
+  std::vector<std::unique_ptr<RequestHandler>> handlers_;
+  std::vector<std::unique_ptr<OneWayHandler>> oneway_handlers_;
+
   struct Pending {
     sim::Promise<SizedResponse> promise;
-    size_t request_wire_bytes;
+    size_t request_wire_bytes = 0;
   };
-  std::unordered_map<uint64_t, Pending> pending_;
+  // Outstanding calls by request id: linear probing over a power-of-two
+  // array with backward-shift deletion, so a call allocates no hash node.
+  // Ids are issued sequentially, so `id & mask` spreads them unhashed.
+  class PendingTable {
+   public:
+    void insert(uint64_t id, Pending p);
+    // Removes and returns the call, or nullopt if `id` is not pending.
+    std::optional<Pending> take(uint64_t id);
+    size_t size() const { return size_; }
+
+   private:
+    struct Slot {
+      uint64_t id = 0;  // 0 = empty; request ids start at 1
+      Pending call;
+    };
+    void grow();
+
+    std::vector<Slot> slots_;
+    size_t size_ = 0;
+  };
+  PendingTable pending_;
 };
 
 }  // namespace faastcc::net

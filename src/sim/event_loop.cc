@@ -9,6 +9,9 @@ EventLoop::~EventLoop() {
   for (Event& e : heap_) {
     if (e.drop != nullptr) e.drop(e.ctx);
   }
+  for (size_t i = lane_head_; i < lane_.size(); ++i) {
+    if (lane_[i].drop != nullptr) lane_[i].drop(lane_[i].ctx);
+  }
 }
 
 void EventLoop::run_closure(void* ctx) {
@@ -28,7 +31,12 @@ void EventLoop::schedule_at(SimTime t, std::function<void()> fn) {
 
 void EventLoop::push(SimTime t, void (*run)(void*), void (*drop)(void*),
                      void* ctx) {
-  if (t < now_) t = now_;
+  if (t <= now_) {
+    // No queued event is earlier than now(), so every lane entry has
+    // time == now() and the lane is sorted by seq alone.
+    lane_.push_back(Event{now_, next_seq_++, run, drop, ctx});
+    return;
+  }
   Event e{t, next_seq_++, run, drop, ctx};
   // Sift up in the 4-ary heap.
   size_t i = heap_.size();
@@ -39,6 +47,29 @@ void EventLoop::push(SimTime t, void (*run)(void*), void (*drop)(void*),
     std::swap(heap_[i], heap_[parent]);
     i = parent;
   }
+}
+
+const EventLoop::Event* EventLoop::peek() const {
+  if (!lane_.empty() &&
+      (heap_.empty() || !before(heap_.front(), lane_[lane_head_]))) {
+    return &lane_[lane_head_];
+  }
+  return heap_.empty() ? nullptr : &heap_.front();
+}
+
+EventLoop::Event EventLoop::pop_lane() {
+  const Event e = lane_[lane_head_++];
+  if (lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  } else if (lane_head_ >= 4096 && 2 * lane_head_ >= lane_.size()) {
+    // An instant that keeps re-filling the lane never empties it; drop the
+    // consumed prefix so the vector tracks the pending entries.
+    lane_.erase(lane_.begin(),
+                lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
+  }
+  return e;
 }
 
 EventLoop::Event EventLoop::pop_min() {
@@ -67,8 +98,10 @@ EventLoop::Event EventLoop::pop_min() {
 }
 
 bool EventLoop::run_one() {
-  if (heap_.empty()) return false;
-  Event e = pop_min();
+  const Event* next = peek();
+  if (next == nullptr) return false;
+  const Event e = heap_.empty() || next != &heap_.front() ? pop_lane()
+                                                          : pop_min();
   now_ = e.time;
   ++processed_;
   e.run(e.ctx);
@@ -83,10 +116,14 @@ void EventLoop::run() {
 
 void EventLoop::run_until(SimTime t) {
   stopped_ = false;
-  while (!stopped_ && !heap_.empty() && heap_.front().time <= t) {
+  for (const Event* next = peek(); !stopped_ && next != nullptr &&
+                                   next->time <= t;
+       next = peek()) {
     run_one();
   }
-  if (now_ < t) now_ = t;
+  // Only once no event at or before `t` is left: moving now() past queued
+  // events would let them fire in the past.
+  if (!stopped_ && now_ < t) now_ = t;
 }
 
 }  // namespace faastcc::sim

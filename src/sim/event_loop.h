@@ -5,13 +5,24 @@
 // totally ordered by (timestamp, insertion sequence), so a given seed always
 // produces the same execution, which the property tests rely on.
 //
-// The queue is a 4-ary heap over compact 40-byte event records (time, seq,
-// two function pointers, a context word).  Coroutine resumptions — the bulk
-// of all events — are scheduled through schedule_resume*() as a raw handle
-// with no allocation; std::function closures remain supported for setup and
-// timer paths via a boxed record.  Sifting moves PODs, never std::function
-// objects.  The ordering is the same total order as the previous binary
-// priority_queue, so schedules are bit-identical across the swap.
+// An event is a compact 40-byte record (time, seq, two function pointers, a
+// context word): `run(ctx)` fires it, `drop(ctx)` discards it unrun when the
+// loop is destroyed first.  The loop allocates nothing on the
+// steady-state path:
+//   * coroutine resumptions (schedule_resume*) store the handle itself;
+//   * network deliveries (schedule_event_at) store a pointer to the
+//     in-flight message record the network allocated;
+//   * std::function closures (schedule_at/after) are boxed once — the rare
+//     path: harness drivers, RPC timeouts, the DAG watchdog.
+//
+// Two queues hold the records.  Events for a later time go into a 4-ary
+// heap; events scheduled at now() — a future fulfilled, a yield — go into
+// the same-time lane, a FIFO vector, and skip the heap entirely.  now()
+// never passes a queued event, so every lane entry is at now() and the
+// lane is sorted by seq.  run_one() takes the heap top only when it
+// precedes the lane front in (time, seq).  Merging two sorted queues that
+// way is exactly the (time, seq) order, so schedules are bit-identical to
+// a single heap.
 #pragma once
 
 #include <coroutine>
@@ -55,10 +66,20 @@ class EventLoop {
     schedule_resume_at(now_, h);
   }
 
+  // Schedules a raw event at `t` (clamped to now): exactly one of
+  // `run(ctx)` (when it fires) or `drop(ctx)` (when the loop is destroyed
+  // first; nullptr = nothing to release) is called, so `ctx` may own
+  // resources.  The network queues message deliveries this way.
+  void schedule_event_at(SimTime t, void (*run)(void*), void (*drop)(void*),
+                         void* ctx) {
+    push(t, run, drop, ctx);
+  }
+
   // Runs events until the queue drains or stop() is called.
   void run();
 
-  // Runs events with time <= t (and leaves now() == t if the queue drained).
+  // Runs events with time <= t, then leaves now() == t unless stop() was
+  // called first (now() never passes an event still queued).
   void run_until(SimTime t);
 
   // Executes the single next event; returns false if the queue is empty.
@@ -67,7 +88,7 @@ class EventLoop {
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
-  size_t pending() const { return heap_.size(); }
+  size_t pending() const { return heap_.size() + lane_.size() - lane_head_; }
   uint64_t events_processed() const { return processed_; }
 
   // Message-buffer free list shared by everything running on this loop
@@ -75,9 +96,6 @@ class EventLoop {
   BufferPool& buffer_pool() { return pool_; }
 
  private:
-  // Compact record: invoking is `run(ctx)`, discarding without running is
-  // `drop(ctx)` (nullptr drop == no-op, used by coroutine handles whose
-  // frames are owned elsewhere).
   struct Event {
     SimTime time;
     uint64_t seq;
@@ -93,7 +111,11 @@ class EventLoop {
   static void drop_closure(void* ctx);
 
   void push(SimTime t, void (*run)(void*), void (*drop)(void*), void* ctx);
+  // The next event in (time, seq) order, or nullptr when both queues are
+  // empty.  Points into the lane or at the heap top.
+  const Event* peek() const;
   Event pop_min();
+  Event pop_lane();
 
   // (time, seq) lexicographic order — identical to the old comparator.
   static bool before(const Event& a, const Event& b) {
@@ -104,6 +126,10 @@ class EventLoop {
   static constexpr size_t kArity = 4;
 
   std::vector<Event> heap_;
+  // Same-time lane: lane_[lane_head_..] is pending, all at now(), in seq
+  // order.  Emptied (and lane_head_ reset) whenever the last entry is taken.
+  std::vector<Event> lane_;
+  size_t lane_head_ = 0;
   BufferPool pool_;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;

@@ -2,7 +2,7 @@
 // inside the simulation (RPC responses, DAG completion notifications,
 // executor wake-ups).  Fulfilment resumes the waiter through the event
 // loop, never inline, which keeps event ordering well-defined and stacks
-// flat.
+// flat.  The shared state comes from the thread's SmallPool (sim/pool.h).
 #pragma once
 
 #include <cassert>
@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "sim/event_loop.h"
+#include "sim/pool.h"
 
 namespace faastcc::sim {
 
@@ -41,8 +42,12 @@ class Future;
 template <typename T>
 class Promise {
  public:
+  // An empty promise, for containers that need a default; assign a real
+  // one before use.
+  Promise() = default;
   explicit Promise(EventLoop& loop)
-      : state_(std::make_shared<detail::FutureState<T>>(loop)) {}
+      : state_(std::allocate_shared<detail::FutureState<T>>(
+            PoolAllocator<detail::FutureState<T>>(), loop)) {}
 
   void set_value(T v) const { state_->fulfil(std::move(v)); }
   bool fulfilled() const { return state_->value.has_value(); }
@@ -62,8 +67,10 @@ class Future {
   bool ready() const { return state_->value.has_value(); }
 
   auto operator co_await() && noexcept {
+    // A raw pointer: the awaited Future (a named local or a temporary of
+    // the co_await expression) outlives the suspension.
     struct Awaiter {
-      std::shared_ptr<detail::FutureState<T>> state;
+      detail::FutureState<T>* state;
       bool await_ready() const noexcept { return state->value.has_value(); }
       void await_suspend(std::coroutine_handle<> h) noexcept {
         assert(!state->waiter && "future awaited twice");
@@ -71,7 +78,7 @@ class Future {
       }
       T await_resume() { return std::move(*state->value); }
     };
-    return Awaiter{state_};
+    return Awaiter{state_.get()};
   }
 
  private:

@@ -4,6 +4,7 @@
 // storage partition serving a request, a closed-loop client — is a Task.
 // Tasks are lazy (they start when awaited) and resume their awaiter through
 // symmetric transfer, so arbitrarily long await chains use constant stack.
+// Coroutine frames come from the thread's SmallPool (sim/pool.h).
 #pragma once
 
 #include <cassert>
@@ -12,6 +13,8 @@
 #include <optional>
 #include <utility>
 
+#include "sim/pool.h"
+
 namespace faastcc::sim {
 
 template <typename T>
@@ -19,8 +22,18 @@ class Task;
 
 namespace detail {
 
+// Class-level allocation functions: the compiler allocates a coroutine's
+// frame through its promise type's operator new and frees it through the
+// sized operator delete with the same size.
+struct PooledFrame {
+  static void* operator new(size_t bytes) { return SmallPool::allocate(bytes); }
+  static void operator delete(void* p, size_t bytes) noexcept {
+    SmallPool::deallocate(p, bytes);
+  }
+};
+
 template <typename T>
-struct TaskPromiseBase {
+struct TaskPromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
@@ -132,7 +145,7 @@ inline Task<void> TaskPromise<void>::get_return_object() {
 
 // Fire-and-forget wrapper used by spawn(); destroys itself on completion.
 struct Detached {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -742,16 +742,23 @@ void TccPartition::note_gossip_round(uint64_t msgs_sent) {
   const uint64_t fan_in = gossip_in_since_round_;
   gossip_in_since_round_ = 0;
   if (metrics_ == nullptr) return;
-  metrics_->counter("stab.gossip_rounds").inc();
-  metrics_->counter("stab.gossip_msgs").inc(msgs_sent);
-  metrics_->histogram("stab.fan_in").add(static_cast<double>(fan_in));
+  GossipMetrics& g = gossip_metrics_;
+  if (g.rounds == nullptr) {
+    // Same registration order as looking each name up where it is used.
+    g.rounds = &metrics_->counter("stab.gossip_rounds");
+    g.msgs = &metrics_->counter("stab.gossip_msgs");
+    g.fan_in = &metrics_->histogram("stab.fan_in");
+    g.stable_lag_us = &metrics_->histogram("stab.stable_lag_us");
+  }
+  g.rounds->inc();
+  g.msgs->inc(msgs_sent);
+  g.fan_in->add(static_cast<double>(fan_in));
   const Timestamp stable = stabilizer_.stable_time();
   const uint64_t now_us = physical_now_us();
   const uint64_t stable_us =
       stable == Timestamp::min() ? 0 : stable.physical_us();
-  metrics_->histogram("stab.stable_lag_us")
-      .add(now_us > stable_us ? static_cast<double>(now_us - stable_us)
-                              : 0.0);
+  g.stable_lag_us->add(
+      now_us > stable_us ? static_cast<double>(now_us - stable_us) : 0.0);
 }
 
 sim::Task<void> TccPartition::push_loop() {

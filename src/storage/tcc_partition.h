@@ -110,7 +110,10 @@ class TccPartition {
   // Optional shared metrics registry (handoff-stall histogram, migration
   // counters).  Entries are created lazily, so non-elastic runs' metric
   // listings are unchanged.
-  void set_metrics(Metrics* m) { metrics_ = m; }
+  void set_metrics(Metrics* m) {
+    metrics_ = m;
+    gossip_metrics_ = {};
+  }
 
   // Joiner lifecycle: construct -> defer_serving() -> begin_join(table, n)
   // -> (n migrate-in parcels applied) -> activate (internal).  While
@@ -337,6 +340,14 @@ class TccPartition {
   // Stabilization messages received since the last local gossip round
   // (mesh gossip, tree reports and broadcasts) — the stab.fan_in sample.
   uint64_t gossip_in_since_round_ = 0;
+  // Registry handles of the per-round samples, looked up on the first
+  // round (a name lookup per round was a scan of the registry).
+  struct GossipMetrics {
+    Counter* rounds = nullptr;
+    Counter* msgs = nullptr;
+    Samples* fan_in = nullptr;
+    Samples* stable_lag_us = nullptr;
+  } gossip_metrics_;
 
   // ---- Elastic state ------------------------------------------------------
   routing::TablePtr table_;

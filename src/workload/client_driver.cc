@@ -40,10 +40,17 @@ void ClientDriver::on_done(Buffer msg, net::Address) {
 
 void ClientDriver::record_breakdown(const obs::TraceBreakdown& b) {
   if (metrics_ == nullptr) return;
-  metrics_->histogram("breakdown.queue_ms").add(to_millis(b.queue));
-  metrics_->histogram("breakdown.compute_ms").add(to_millis(b.compute));
-  metrics_->histogram("breakdown.storage_ms").add(to_millis(b.storage));
-  metrics_->histogram("breakdown.network_ms").add(to_millis(b.network));
+  BreakdownMetrics& h = breakdown_metrics_;
+  if (h.queue_ms == nullptr) {
+    h.queue_ms = &metrics_->histogram("breakdown.queue_ms");
+    h.compute_ms = &metrics_->histogram("breakdown.compute_ms");
+    h.storage_ms = &metrics_->histogram("breakdown.storage_ms");
+    h.network_ms = &metrics_->histogram("breakdown.network_ms");
+  }
+  h.queue_ms->add(to_millis(b.queue));
+  h.compute_ms->add(to_millis(b.compute));
+  h.storage_ms->add(to_millis(b.storage));
+  h.network_ms->add(to_millis(b.network));
 }
 
 sim::Task<faas::DagDoneMsg> ClientDriver::execute_once(

@@ -57,6 +57,14 @@ class ClientDriver {
   WorkloadGen workload_;
   ClientParams params_;
   Metrics* metrics_;
+  // Registry handles of the breakdown histograms, looked up on the first
+  // traced DAG (a name lookup per sample was a scan of the registry).
+  struct BreakdownMetrics {
+    Samples* queue_ms = nullptr;
+    Samples* compute_ms = nullptr;
+    Samples* storage_ms = nullptr;
+    Samples* network_ms = nullptr;
+  } breakdown_metrics_;
   obs::Tracer* tracer_;
   check::ConsistencyOracle* oracle_ = nullptr;
   Buffer session_;

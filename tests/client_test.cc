@@ -190,7 +190,7 @@ TEST_F(FaasTccOpenTest, RootTakesSessionDependency) {
   ASSERT_NE(txn, nullptr);
   // Session dep surfaces in the exported context.
   const auto ctx =
-      decode_message<FaasTccContext>(txn->export_context());
+      decode_message<FaasTccContext>(txn->export_context().bytes);
   EXPECT_EQ(ctx.dep_ts, ts(55));
 }
 
@@ -224,13 +224,13 @@ TEST_F(FaasTccOpenTest, MergeUnionsWriteSets) {
   auto txn = adapter_.open(
       info_, {encode_message(a), encode_message(b)}, Buffer{});
   ASSERT_NE(txn, nullptr);
-  const auto ctx = decode_message<FaasTccContext>(txn->export_context());
+  const auto ctx = decode_message<FaasTccContext>(txn->export_context().bytes);
   EXPECT_EQ(ctx.write_set.size(), 2u);
 }
 
 TEST_F(FaasTccOpenTest, MetadataIsSixteenBytes) {
   auto txn = adapter_.open(info_, {}, Buffer{});
-  EXPECT_EQ(txn->metadata_bytes(), 16u);
+  EXPECT_EQ(txn->export_context().metadata_bytes, 16u);
 }
 
 TEST_F(FaasTccOpenTest, WritesReadBackWithinTxn) {
@@ -272,7 +272,7 @@ TEST_F(HydroOpenTest, RootInheritsSessionCausalPast) {
   s.deps.require(7, 9, 100, 2);
   auto txn = adapter_.open(info_, {}, encode_message(s));
   ASSERT_NE(txn, nullptr);
-  const auto ctx = decode_message<HydroContext>(txn->export_context());
+  const auto ctx = decode_message<HydroContext>(txn->export_context().bytes);
   EXPECT_EQ(ctx.lamport, 42u);
   ASSERT_NE(ctx.deps.find(7), nullptr);
   EXPECT_EQ(ctx.deps.find(7)->counter, 9u);
@@ -288,7 +288,7 @@ TEST_F(HydroOpenTest, ParentsMergeDependencies) {
   auto txn = adapter_.open(
       info_, {encode_message(a), encode_message(b)}, Buffer{});
   ASSERT_NE(txn, nullptr);
-  const auto ctx = decode_message<HydroContext>(txn->export_context());
+  const auto ctx = decode_message<HydroContext>(txn->export_context().bytes);
   EXPECT_EQ(ctx.lamport, 20u);
   EXPECT_NE(ctx.deps.find(1), nullptr);
   EXPECT_NE(ctx.deps.find(2), nullptr);
@@ -323,7 +323,7 @@ TEST_F(HydroOpenTest, StaticRestrictionPrunesMetadata) {
   auto txn = adapter_.open(info_, {encode_message(parent)}, Buffer{});
   ASSERT_NE(txn, nullptr);
   // Only keys 1, 2, 3 remain relevant.
-  EXPECT_LE(txn->metadata_bytes(), 4 + 3 * cache::kDepWireBytes);
+  EXPECT_LE(txn->export_context().metadata_bytes, 4 + 3 * cache::kDepWireBytes);
 }
 
 TEST_F(HydroOpenTest, DynamicShipsFullMetadata) {
@@ -333,7 +333,26 @@ TEST_F(HydroOpenTest, DynamicShipsFullMetadata) {
   }
   auto txn = adapter_.open(info_, {encode_message(parent)}, Buffer{});
   ASSERT_NE(txn, nullptr);
-  EXPECT_GE(txn->metadata_bytes(), 100 * cache::kDepWireBytes);
+  EXPECT_GE(txn->export_context().metadata_bytes, 100 * cache::kDepWireBytes);
+}
+
+TEST_F(HydroOpenTest, MetadataBytesMeasureTheShippedMap) {
+  // Entries written 0..990 ms; once now() is 15.5 s the GC horizon
+  // (now - dep_gc_window) sits at 500 ms, inside that range.
+  HydroContext parent;
+  parent.global_cut = seconds(100);
+  for (Key k = 0; k < 100; ++k) {
+    parent.deps.require(k, 1, milliseconds(10 * static_cast<int64_t>(k)), 1);
+  }
+  loop_.schedule_at(HydroConfig{}.dep_gc_window + milliseconds(500), [] {});
+  loop_.run();
+  auto txn = adapter_.open(info_, {encode_message(parent)}, Buffer{});
+  ASSERT_NE(txn, nullptr);
+  const ExportedContext out = txn->export_context();
+  const auto shipped = decode_message<HydroContext>(out.bytes);
+  EXPECT_GT(shipped.deps.size(), 0u);
+  EXPECT_LT(shipped.deps.size(), 100u);
+  EXPECT_EQ(out.metadata_bytes, shipped.deps.wire_bytes());
 }
 
 TEST(HydroSessionCodec, RoundTrips) {
@@ -360,12 +379,12 @@ TEST(EventualClient, ContextCarriesOnlyWrites) {
   TxnInfo info;
   auto txn = adapter.open(info, {}, Buffer{});
   txn->write(9, "w");
-  EXPECT_EQ(txn->metadata_bytes(), 0u);
-  const auto ctx = decode_message<EventualContext>(txn->export_context());
+  EXPECT_EQ(txn->export_context().metadata_bytes, 0u);
+  const auto ctx = decode_message<EventualContext>(txn->export_context().bytes);
   EXPECT_EQ(ctx.write_set.at(9), "w");
 
   // A child inherits the parent's writes (read-your-writes downstream).
-  auto child = adapter.open(info, {txn->export_context()}, Buffer{});
+  auto child = adapter.open(info, {txn->export_context().bytes}, Buffer{});
   bool done = false;
   sim::spawn([](FunctionTxn& t, bool& flag) -> sim::Task<void> {
     auto vals = co_await t.read(std::vector<Key>(1, Key{9}));

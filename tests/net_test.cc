@@ -165,25 +165,46 @@ TEST(Rpc, RequestOutlivesCallerScope) {
   for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ(got[i], i * 100);
 }
 
+sim::Task<void> echo_all(RpcNode& c, std::vector<uint64_t> xs,
+                         std::vector<uint64_t>& out) {
+  std::vector<sim::Task<Echo>> calls;
+  for (uint64_t x : xs) calls.push_back(c.call<Echo>(1, 7, Echo{x}));
+  auto results = co_await sim::when_all(c.loop(), std::move(calls));
+  for (const Echo& e : results) out.push_back(e.x);
+}
+
 TEST(Rpc, ConcurrentCallsMatchResponsesById) {
   sim::EventLoop loop;
   Network net(loop, no_jitter(), Rng(1));
   RpcNode server(net, 1), client(net, 2);
-  // Handler delays inversely to the value: responses return out of order.
+  // The handler sleeps x % 10000 us, so responses return out of order.
   server.handle(7, [&loop](Buffer b, Address) -> sim::Task<Buffer> {
     auto e = decode_message<Echo>(b);
-    co_await sim::sleep_for(loop, 1000 - e.x);
+    co_await sim::sleep_for(loop, static_cast<Duration>(e.x % 10000));
     co_return encode_message(e);
   });
-  std::vector<uint64_t> got;
-  sim::spawn([](RpcNode& c, std::vector<uint64_t>& out) -> sim::Task<void> {
-    std::vector<sim::Task<Echo>> calls;
-    for (uint64_t i = 0; i < 5; ++i) calls.push_back(c.call<Echo>(1, 7, Echo{i}));
-    auto results = co_await sim::when_all(c.loop(), std::move(calls));
-    for (const Echo& e : results) out.push_back(e.x);
-  }(client, got));
+  // Four slow calls stay pending while rounds of fast, scrambled calls
+  // cycle through later request ids: the pending-call table wraps, new ids
+  // land on the slow calls' slots, and deletions fall mid-probe-run.
+  const std::vector<uint64_t> slow = {9990, 9991, 9992, 9993};
+  std::vector<uint64_t> fast;
+  std::vector<std::vector<uint64_t>> rounds(12);
+  for (uint64_t r = 0; r < rounds.size(); ++r) {
+    for (uint64_t i = 0; i < 25; ++i) {
+      rounds[r].push_back(((r * 25 + i) * 7919) % 1000);
+      fast.push_back(rounds[r].back());
+    }
+  }
+  std::vector<uint64_t> got_slow, got_fast;
+  sim::spawn(echo_all(client, slow, got_slow));
+  sim::spawn([](RpcNode& c, std::vector<std::vector<uint64_t>> rs,
+                std::vector<uint64_t>& out) -> sim::Task<void> {
+    for (auto& r : rs) co_await echo_all(c, std::move(r), out);
+  }(client, rounds, got_fast));
   loop.run();
-  EXPECT_EQ(got, (std::vector<uint64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(got_slow, slow);
+  EXPECT_EQ(got_fast, fast);
+  EXPECT_EQ(client.pending_calls(), 0u);
 }
 
 TEST(Rpc, OneWayMessagesReachHandler) {

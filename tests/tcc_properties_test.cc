@@ -307,7 +307,7 @@ TEST(CausalOrder, CommitExceedsReadSnapshot) {
           env.abort_requested = true;
           co_return Buffer{};
         }
-        const Buffer ctx = env.txn.export_context();
+        const Buffer ctx = env.txn.export_context().bytes;
         observed_low =
             decode_message<client::FaasTccContext>(ctx).interval.low;
         env.txn.write(3, "w");
