@@ -1,12 +1,12 @@
 // Wall-clock speed of the simulator itself.
 //
-// Unlike the bench_fig* binaries, which report *simulated* quantities, this
-// one measures how fast the simulation core chews through its event and
-// message hot paths on the host machine: wall milliseconds, simulated
-// events per wall second and simulated messages per wall second, for the
-// same fixed-seed workload on all three systems.  The numbers are the
-// tracked artifact (BENCH_wallclock.json) that perf PRs must move; compare
-// two runs with tools/bench_diff.py.
+// Unlike the paper-figure sweeps (plans/fig_*.json), which report
+// *simulated* quantities, this binary measures how fast the simulation
+// core chews through its event and message hot paths on the host machine:
+// wall milliseconds, simulated events per wall second and simulated
+// messages per wall second, for the same fixed-seed workload on all three
+// systems.  The numbers are the tracked artifact (BENCH_wallclock.json)
+// that perf PRs must move; compare two runs with tools/bench_diff.py.
 //
 // The simulation is deterministic per seed, so per-system `sim_events`,
 // `messages` and `committed` are build-invariant checksums: if they drift

@@ -1,11 +1,11 @@
 // Named run configurations: one source of truth for "--config=<name>".
 //
-// The table started life inside tcc_fuzz; now the sim, the fuzzer, the
-// sweep runner and the bench binaries all resolve the same names to the
-// same ClusterParams mutations, and --list-configs prints the same table
-// everywhere.  Regression ("chaos") configs re-enable one historical bug
-// via its chaos knob; they are excluded from default fuzz sweeps (they are
-// SUPPOSED to fail) and run only when named explicitly.
+// The table started life inside tcc_fuzz; now the sim, the fuzzer and the
+// sweep runner all resolve the same names to the same ClusterParams
+// mutations, and --list-configs prints the same table everywhere.
+// Regression ("chaos") configs re-enable one historical bug via its chaos
+// knob; they are excluded from default fuzz sweeps (they are SUPPOSED to
+// fail) and run only when named explicitly.
 #pragma once
 
 #include <cstdio>

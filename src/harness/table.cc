@@ -62,8 +62,4 @@ std::string fmt_bytes(double v) {
   return buf;
 }
 
-void print_title(const std::string& title) {
-  std::printf("\n=== %s ===\n", title.c_str());
-}
-
 }  // namespace faastcc::harness

@@ -1,5 +1,4 @@
-// Fixed-width table printing for the benchmark binaries.  Every bench
-// prints the paper's reference numbers next to the measured ones.
+// Fixed-width table printing for the command-line tools.
 #pragma once
 
 #include <string>
@@ -21,7 +20,5 @@ class Table {
 
 std::string fmt(double v, int precision = 1);
 std::string fmt_bytes(double v);
-
-void print_title(const std::string& title);
 
 }  // namespace faastcc::harness

@@ -1,6 +1,7 @@
 // Comparative integration tests: the paper's qualitative orderings,
 // checked on small (fast) clusters.  These are the "shape" claims of §6
-// at test scale — the bench binaries check them at paper scale.
+// at test scale — tools/figures.py --check gates them at paper scale on
+// the figure sweeps (plans/fig_*.json).
 #include <gtest/gtest.h>
 
 #include "harness/cluster.h"
