@@ -30,10 +30,6 @@ FaasTccCache::FaasTccCache(net::Network& network, net::Address self,
   rpc_.handle_oneway(storage::kTccPush, [this](Buffer b, net::Address from) {
     on_push(std::move(b), from);
   });
-  rpc_.handle_oneway(storage::kTccPushBatch,
-                     [this](Buffer b, net::Address from) {
-                       on_push_batch(std::move(b), from);
-                     });
   if (params_.topo_service != 0) {
     // Elastic routing: wrong-epoch NACKs on storage reads pull a fresh
     // table; epoch-bump broadcasts push one.  Either path lands in
@@ -434,32 +430,9 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
 void FaasTccCache::on_push(Buffer msg, net::Address) {
   auto push = decode_message<storage::PushMsg>(msg);
   rpc_.recycle(std::move(msg));
-  apply_push(push.partition, push.seq, push.stable_time, push.updates);
-}
-
-void FaasTccCache::on_push_batch(Buffer msg, net::Address) {
-  auto push = decode_message<storage::PushBatchMsg>(msg);
-  rpc_.recycle(std::move(msg));
-  // Re-derive each update's promise from the frame header: the pusher
-  // always sets promise = max(ts, stable), so nothing is lost by not
-  // carrying it per update.
-  std::vector<storage::VersionedValue> updates;
-  updates.reserve(push.updates.size());
-  for (auto& u : push.updates) {
-    storage::VersionedValue vv;
-    vv.key = u.key;
-    vv.value = std::move(u.value);
-    vv.ts = u.ts;
-    vv.promise = std::max(u.ts, push.stable_time);
-    updates.push_back(std::move(vv));
-  }
-  apply_push(push.partition, push.seq, push.stable_time, updates);
-}
-
-void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
-                              Timestamp stable,
-                              const std::vector<storage::VersionedValue>&
-                                  updates) {
+  const PartitionId partition = push.partition;
+  const uint64_t seq = push.seq;
+  const Timestamp stable = push.stable_time;
   stable_est_ = std::max(stable_est_, stable);
   if (partition >= partition_stable_.size()) return;
   // Channel ordering: only an unbroken push sequence proves the dirty-set
@@ -482,8 +455,8 @@ void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
     auto& slot = partition_stable_[partition];
     slot = std::max(slot, stable);
   }
-  for (const auto& vv : updates) {
-    Cached* c = entries_.find(vv.key);
+  for (auto& u : push.updates) {
+    Cached* c = entries_.find(u.key);
     if (c == nullptr) {
       // Evicted since we subscribed; the unsubscribe is in flight.
       counters_.pushes_stale.inc();
@@ -491,13 +464,15 @@ void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
     }
     const bool may_open = in_order && (c->sub & kSubActive) != 0;
     Entry& e = c->entry;
-    if (vv.ts > e.ts) {
-      bytes_ += vv.value.size();
+    // The pusher's promise for a latest version is max(ts, stable at push).
+    const Timestamp promise = std::max(u.ts, stable);
+    if (u.ts > e.ts) {
+      bytes_ += u.value.size();
       bytes_ -= e.value.size();
-      e = Entry{vv.value, vv.ts, vv.promise, may_open};
+      e = Entry{std::move(u.value), u.ts, promise, may_open};
       counters_.pushes_applied.inc();
-    } else if (vv.ts == e.ts) {
-      e.promise = std::max(e.promise, vv.promise);
+    } else if (u.ts == e.ts) {
+      e.promise = std::max(e.promise, promise);
       if (may_open) e.open = true;
       counters_.pushes_applied.inc();
     } else {

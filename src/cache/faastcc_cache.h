@@ -128,14 +128,9 @@ class FaasTccCache {
   static constexpr int kMaxFetchAttempts = 8;
 
   sim::Task<Buffer> on_read(Buffer req, net::Address from);
+  // Seq-channel ordering, per-partition stable merge, and per-update apply
+  // with each promise derived from the frame's stable time.
   void on_push(Buffer msg, net::Address from);
-  void on_push_batch(Buffer msg, net::Address from);
-  // Shared body of both push frames: seq-channel ordering, per-partition
-  // stable merge, and per-update apply.  PushBatchMsg updates arrive here
-  // with their promise re-derived as max(ts, header stable) — exactly the
-  // value the PushMsg path would have carried.
-  void apply_push(PartitionId partition, uint64_t seq, Timestamp stable,
-                  const std::vector<storage::VersionedValue>& updates);
 
   // The promise currently claimable for an entry (extended by the owning
   // partition's pushed stable time when the version is open).

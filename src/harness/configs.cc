@@ -85,15 +85,12 @@ const std::vector<NamedConfig> kConfigs = {
        p.elastic.at = milliseconds(300);
        p.faults.dup_prob = 0.03;
      }},
-    {"tree-lossy",
-     "tree stabilization + coalesced pushes under 2% loss + 1% duplication",
-     false,
+    {"tree-lossy", "tree stabilization under 2% loss + 1% duplication", false,
      [](ClusterParams& p) {
        // Fanout 2 over the fuzzer's small cells gives the tree real depth
        // (interior nodes relaying folds), exercising up/down staleness.
        p.tcc.stab_topology = storage::StabTopology::kTree;
        p.tcc.tree_fanout = 2;
-       p.tcc.push_coalescing = true;
        p.faults.loss_prob = 0.02;
        p.faults.dup_prob = 0.01;
      }},
@@ -104,7 +101,6 @@ const std::vector<NamedConfig> kConfigs = {
        // mid-run: membership-tagged folds must re-arm the barrier.
        p.tcc.stab_topology = storage::StabTopology::kTree;
        p.tcc.tree_fanout = 2;
-       p.tcc.push_coalescing = true;
        p.elastic.add_partitions = 2;
        p.elastic.at = milliseconds(300);
        p.faults.loss_prob = 0.01;

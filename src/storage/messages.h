@@ -37,9 +37,6 @@ enum TccMethod : uint16_t {
   // mesh's O(P²) broadcast.
   kTccSafeUp = 11,      // one-way: child -> parent subtree minimum
   kTccStableDown = 12,  // one-way: parent -> child root fold
-  // Coalesced pub/sub push (push_coalescing=true): same semantics as
-  // kTccPush with the per-update promise derived from the frame header.
-  kTccPushBatch = 13,
   // Per-slot replication (leader -> follower, replication_factor > 0).
   kTccReplInstall = 14,  // stream one committed txn's installs
   kTccReplSeal = 15,     // seal a safe time at the follower (lease beat)
@@ -224,8 +221,20 @@ struct GossipMsg {
   static void fields(Self& s, F&& f) { f(s.partition, s.safe_time); }
 };
 
+// One update inside a push frame.  Its promise is not shipped: a pushed
+// promise is always max(version ts, stable at push) (§4.2), and the frame
+// header carries the stable time once, so the receiver derives it.
+struct PushUpdate {
+  Key key = 0;
+  Value value;
+  Timestamp ts;
+
+  template <class Self, class F>
+  static void fields(Self& s, F&& f) { f(s.key, s.value, s.ts); }
+};
+
 // One-way pub/sub push: fresh versions of subscribed keys plus the stable
-// time at push.  Pushed promises are max(version ts, stable at push).
+// time at push, one frame per subscriber per push period.
 //
 // Pushes are sent every refresh period even when no subscribed key
 // changed: the dirty set is complete for subscribed keys, so a subscriber
@@ -238,35 +247,6 @@ struct PushMsg {
   // announcement of a successor version, so it must close open entries of
   // this partition until a re-announce arrives.  0 = unsequenced.
   uint64_t seq = 0;
-  Timestamp stable_time;
-  std::vector<VersionedValue> updates;
-
-  template <class Self, class F>
-  static void fields(Self& s, F&& f) {
-    f(s.partition, s.seq, s.stable_time, s.updates);
-  }
-};
-
-// One update inside a coalesced push frame: the promise is not shipped —
-// a pushed promise is always max(version ts, stable at push), and the
-// frame header carries the stable time once, so the receiver re-derives
-// it losslessly (8 bytes saved per update over VersionedValue).
-struct PushUpdate {
-  Key key = 0;
-  Value value;
-  Timestamp ts;
-
-  template <class Self, class F>
-  static void fields(Self& s, F&& f) { f(s.key, s.value, s.ts); }
-};
-
-// Coalesced pub/sub push (push_coalescing=true): identical semantics and
-// sequencing to PushMsg, with all shared per-frame state (partition, seq,
-// stable time) carried once in the header and per-update promises derived
-// at the receiver.
-struct PushBatchMsg {
-  PartitionId partition = 0;
-  uint64_t seq = 0;  // same channel sequence space as PushMsg
   Timestamp stable_time;
   std::vector<PushUpdate> updates;
 

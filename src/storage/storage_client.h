@@ -86,22 +86,16 @@ class TccStorageClient {
   // Commits `writes` atomically with a timestamp above `dep_ts`; returns
   // the commit timestamp, or nullopt when a participant stayed unreachable
   // through the (generous) commit retry budget.
-  sim::Task<std::optional<Timestamp>> commit(TxnId txn,
-                                             std::vector<KeyValue> writes,
-                                             Timestamp dep_ts,
-                                             obs::TraceContext trace = {});
-
-  // Snapshot Isolation commit (§7 extension): first-committer-wins
-  // write-write conflict detection against `snapshot_ts`.  Returns the
-  // commit timestamp, or std::nullopt when the transaction must abort
-  // (conflict, or a participant unreachable through the retry budget).
-  // Always runs the full prepare/commit protocol so conflicting prepares
-  // serialize even on a single partition.
-  sim::Task<std::optional<Timestamp>> commit_si(TxnId txn,
-                                                std::vector<KeyValue> writes,
-                                                Timestamp dep_ts,
-                                                Timestamp snapshot_ts,
-                                                obs::TraceContext trace = {});
+  //
+  // With `si_snapshot` set this is a Snapshot Isolation commit (§7
+  // extension): first-committer-wins write-write conflict detection
+  // against the snapshot, and nullopt also on a conflict.  It always runs
+  // the full prepare/commit protocol so conflicting prepares serialize
+  // even on a single partition.
+  sim::Task<std::optional<Timestamp>> commit(
+      TxnId txn, std::vector<KeyValue> writes, Timestamp dep_ts,
+      std::optional<Timestamp> si_snapshot = std::nullopt,
+      obs::TraceContext trace = {});
 
   // (Un)subscribes at the owning partitions.  `seq` orders the caller's
   // control stream per partition (see SubscribeReq::seq); 0 = unsequenced.

@@ -771,10 +771,6 @@ sim::Task<void> TccPartition::push_loop() {
     // subscribers to close entries.  Always true without replication.
     if (!is_current_leader()) continue;
     const Timestamp stable = stabilizer_.stable_time();
-    if (params_.push_coalescing) {
-      push_round_coalesced(stable);
-      continue;
-    }
     // Group fresh versions per subscriber.
     std::unordered_map<net::Address, PushMsg> batches;
     for (Key k : dirty_) {
@@ -782,13 +778,9 @@ sim::Task<void> TccPartition::push_loop() {
       if (subs == nullptr) continue;
       const auto r = store_.read_at(k, Timestamp::max());
       if (r.version == nullptr) continue;
-      VersionedValue vv;
-      vv.key = k;
-      vv.value = r.version->value;
-      vv.ts = r.version->ts;
-      vv.promise = std::max(vv.ts, stable);
+      const PushUpdate u{k, r.version->value, r.version->ts};
       for (net::Address sub : *subs) {
-        batches[sub].updates.push_back(vv);
+        batches[sub].updates.push_back(u);
       }
     }
     dirty_.clear();
@@ -804,38 +796,6 @@ sim::Task<void> TccPartition::push_loop() {
       counters_.pushes.inc();
       rpc_.send(sub, kTccPush, batch);
     }
-  }
-}
-
-// push_coalescing=true: one maintenance round, framed as PushBatchMsg.
-// Identical pub/sub semantics to the PushMsg path (same dirty-set drain,
-// same per-subscriber channel sequence, empty frames still sent as the
-// promise-extension heartbeat) but each update drops its 8-byte promise —
-// the pushed promise is always max(ts, stable) and the receiver re-derives
-// it from the header's stable time, losslessly.
-void TccPartition::push_round_coalesced(Timestamp stable) {
-  std::unordered_map<net::Address, PushBatchMsg> batches;
-  for (Key k : dirty_) {
-    const AddressList* subs = subscribers_.find(k);
-    if (subs == nullptr) continue;
-    const auto r = store_.read_at(k, Timestamp::max());
-    if (r.version == nullptr) continue;
-    PushUpdate u;
-    u.key = k;
-    u.value = r.version->value;
-    u.ts = r.version->ts;
-    for (net::Address sub : *subs) {
-      batches[sub].updates.push_back(u);
-    }
-  }
-  dirty_.clear();
-  for (net::Address sub : subscriber_addresses_) {
-    auto& batch = batches[sub];  // creates empty batches as needed
-    batch.partition = id_;
-    batch.seq = ++push_seq_out_[sub];
-    batch.stable_time = stable;
-    counters_.pushes.inc();
-    rpc_.send(sub, kTccPushBatch, batch);
   }
 }
 

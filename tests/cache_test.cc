@@ -364,6 +364,28 @@ TEST_F(FaasTccCacheTest, PushUpdatesSubscribedEntry) {
   });
 }
 
+TEST_F(FaasTccCacheTest, PushedPromiseIsDerivedFromFrameStableTime) {
+  run([&]() -> sim::Task<void> {
+    const Timestamp t1 = co_await commit(1, "v1", Timestamp::min());
+    co_await sim::sleep_for(loop_, milliseconds(10));
+    std::vector<Key> k1(1, Key{1});
+    co_await cache_read(k1, SnapshotInterval::full());
+    EXPECT_EQ(cache_->peek(1)->ts, t1);
+    // A push frame carries no per-update promise: re-announcing the cached
+    // version under a stable time far ahead of every real push raises the
+    // entry's promise to exactly that stable time, max(ts, stable).
+    const Timestamp stable(t1.physical_us() + 10'000'000, 0, 0);
+    storage::PushMsg push;
+    push.partition = 1;  // key 1's owner
+    push.stable_time = stable;
+    push.updates.push_back(storage::PushUpdate{1, "v1", t1});
+    client_rpc_.send(200, storage::kTccPush, push);
+    co_await sim::sleep_for(loop_, milliseconds(5));
+    EXPECT_EQ(cache_->peek(1)->ts, t1);
+    EXPECT_EQ(cache_->peek(1)->promise, stable);
+  });
+}
+
 TEST_F(FaasTccCacheTest, PromiseExtensionKeepsIdleEntriesServable) {
   run([&]() -> sim::Task<void> {
     co_await commit(1, "v1", Timestamp::min());

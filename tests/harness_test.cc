@@ -51,27 +51,47 @@ TEST(Harness, PaperDefaultsMatchSection61) {
   EXPECT_EQ(p.dags_per_client, 1000);
 }
 
-// Every paper-figure plan (plans/fig_*.json) runs the §6.1 cluster: its
-// base restates ClusterParams{}, so a run differs from the defaults only in
-// the fields its axis values set.
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)), {});
+}
+
+// Every committed plan (plans/*.json) and perfbench workload spec decodes
+// strictly, so a RunSpec field or config that a spec file still names
+// cannot be removed unnoticed.  Every paper-figure plan (plans/fig_*.json)
+// runs the §6.1 cluster: its base restates ClusterParams{}, so a run
+// differs from the defaults only in the fields its axis values set.
 TEST(Harness, FigurePlansKeepTheSection61Setup) {
   size_t plans = 0;
+  size_t fig_plans = 0;
   for (const auto& entry :
        std::filesystem::directory_iterator(FAASTCC_SOURCE_DIR "/plans")) {
-    if (entry.path().filename().string().rfind("fig_", 0) != 0) continue;
-    SCOPED_TRACE(entry.path().filename().string());
+    if (entry.path().extension() != ".json") continue;
+    const std::string name = entry.path().filename().string();
+    SCOPED_TRACE(name);
     ++plans;
-    std::ifstream in(entry.path());
-    const std::string text((std::istreambuf_iterator<char>(in)), {});
-    RunSpec base;
-    apply_spec_patch(base, *json::parse(text).find("base"));
-    EXPECT_EQ(to_json(base), to_json(RunSpec{}));
+    const std::string text = read_file(entry.path());
+    const bool fig = name.rfind("fig_", 0) == 0;
+    if (fig) {
+      ++fig_plans;
+      RunSpec base;
+      apply_spec_patch(base, *json::parse(text).find("base"));
+      EXPECT_EQ(to_json(base), to_json(RunSpec{}));
+    }
 
+    SweepPlan plan;
+    try {
+      plan = SweepPlan::from_text(text);
+    } catch (const SpecError& e) {
+      ADD_FAILURE() << e.what();
+      continue;
+    }
     std::set<std::string> ids;
-    for (const SweepItem& item : SweepPlan::from_text(text).items) {
+    for (const SweepItem& item : plan.items) {
       SCOPED_TRACE(item.id);
       EXPECT_TRUE(ids.insert(item.id).second) << "duplicate run id";
       const ClusterParams p = item.spec.resolve();
+      if (!fig) continue;
       EXPECT_EQ(p.partitions, 16u);
       EXPECT_EQ(p.compute_nodes, 10u);
       EXPECT_EQ(p.clients, 16u);
@@ -85,7 +105,18 @@ TEST(Harness, FigurePlansKeepTheSection61Setup) {
       }
     }
   }
-  EXPECT_EQ(plans, 4u);
+  EXPECT_EQ(fig_plans, 4u);
+  EXPECT_GT(plans, fig_plans);
+
+  size_t workloads = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           FAASTCC_SOURCE_DIR "/perfbench/workloads")) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    ++workloads;
+    EXPECT_NO_THROW(spec_from_text(read_file(entry.path())).resolve());
+  }
+  EXPECT_GE(workloads, 3u);
 }
 
 TEST(Harness, SystemNames) {

@@ -85,32 +85,37 @@ TEST(Replication, DuplicatedAndLossyStreamAppliesAtMostOnce) {
 // until f+1 hold the installs), so after promotion the oracle's
 // durability check — every acked write survives on the promoted chain —
 // stays clean, and promises issued from the dead leader's published safe
-// times stay sound (handoff floor >= sealed safe).
+// times stay sound (handoff floor >= sealed safe).  Snapshot Isolation
+// commits always prepare, so every commit of that mode crosses the
+// failover as a prepare/commit pair; both modes must hold.
 TEST(Replication, LeaderKillPromotesFollowerWithAckedWritesDurable) {
-  for (uint64_t seed : {3u, 11u}) {
-    SCOPED_TRACE(seed);
-    ClusterParams p = repl_params(seed, 1);
-    p.faults.crashes.push_back(
-        net::CrashWindow{101, milliseconds(300), seconds(3600)});
-    p.faults.dag_timeout = milliseconds(500);
-    Cluster cluster(p);
-    const RunResult r = cluster.run();
-    EXPECT_GT(r.committed, 0u);
-    expect_oracle_clean(cluster);
+  for (const bool si : {false, true}) {
+    for (uint64_t seed : {3u, 11u}) {
+      SCOPED_TRACE(testing::Message() << "si=" << si << " seed=" << seed);
+      ClusterParams p = repl_params(seed, 1);
+      p.faastcc.snapshot_isolation = si;
+      p.faults.crashes.push_back(
+          net::CrashWindow{101, milliseconds(300), seconds(3600)});
+      p.faults.dag_timeout = milliseconds(500);
+      Cluster cluster(p);
+      const RunResult r = cluster.run();
+      EXPECT_GT(r.committed, 0u);
+      expect_oracle_clean(cluster);
 
-    EXPECT_GE(cluster.metrics().counter("repl.promotions").value(), 1u);
-    // Exactly the killed slot's follower promoted; the survivors' did not.
-    auto& followers = cluster.tcc_followers();
-    ASSERT_EQ(followers.size(), 3u);
-    EXPECT_FALSE(followers[1]->is_follower());
-    EXPECT_TRUE(followers[1]->serving());
-    EXPECT_EQ(followers[1]->counters().promotions.value(), 1u);
-    EXPECT_TRUE(followers[0]->is_follower());
-    EXPECT_TRUE(followers[2]->is_follower());
-    // The promotion republished the table under a bumped epoch.
-    ASSERT_NE(followers[1]->routing_table(), nullptr);
-    EXPECT_EQ(followers[1]->routing_table()->partitions[1],
-              followers[1]->address());
+      EXPECT_GE(cluster.metrics().counter("repl.promotions").value(), 1u);
+      // Exactly the killed slot's follower promoted; the survivors' did not.
+      auto& followers = cluster.tcc_followers();
+      ASSERT_EQ(followers.size(), 3u);
+      EXPECT_FALSE(followers[1]->is_follower());
+      EXPECT_TRUE(followers[1]->serving());
+      EXPECT_EQ(followers[1]->counters().promotions.value(), 1u);
+      EXPECT_TRUE(followers[0]->is_follower());
+      EXPECT_TRUE(followers[2]->is_follower());
+      // The promotion republished the table under a bumped epoch.
+      ASSERT_NE(followers[1]->routing_table(), nullptr);
+      EXPECT_EQ(followers[1]->routing_table()->partitions[1],
+                followers[1]->address());
+    }
   }
 }
 

@@ -76,7 +76,6 @@ TEST(RunSpec, NonDefaultFieldsSurviveTheRoundTrip) {
   spec.params.tcc.gossip_period = milliseconds(131);
   spec.params.tcc.stab_topology = storage::StabTopology::kTree;
   spec.params.tcc.tree_fanout = 8;
-  spec.params.tcc.push_coalescing = true;
   spec.params.faults.loss_prob = 0.015;
   spec.params.faults.crashes.push_back(
       net::CrashWindow{101, milliseconds(300), milliseconds(360)});
@@ -93,7 +92,6 @@ TEST(RunSpec, NonDefaultFieldsSurviveTheRoundTrip) {
   EXPECT_EQ(back.params.tcc.gossip_period, milliseconds(131));
   EXPECT_EQ(back.params.tcc.stab_topology, storage::StabTopology::kTree);
   EXPECT_EQ(back.params.tcc.tree_fanout, 8);
-  EXPECT_TRUE(back.params.tcc.push_coalescing);
   EXPECT_DOUBLE_EQ(back.params.faults.loss_prob, 0.015);
   ASSERT_EQ(back.params.faults.crashes.size(), 1u);
   EXPECT_EQ(back.params.faults.crashes[0].addr, 101u);

@@ -510,15 +510,22 @@ TEST_F(TccClusterTest, PushNotifiesSubscribedCache) {
     pushes.push_back(decode_message<PushMsg>(b));
   });
   partitions_[5 % kPartitions]->add_subscriber(5, 60);
+  Timestamp committed;
   run([&]() -> sim::Task<void> {
-    *co_await client_->commit(1, one_write(5, "fresh"), Timestamp::min());
+    committed =
+        *co_await client_->commit(1, one_write(5, "fresh"), Timestamp::min());
     co_await sim::sleep_for(loop_, milliseconds(120));  // > push period
   });
   ASSERT_FALSE(pushes.empty());
   bool saw_value = false;
   for (const auto& p : pushes) {
     for (const auto& u : p.updates) {
-      if (u.key == 5 && u.value == "fresh") saw_value = true;
+      if (u.key == 5 && u.value == "fresh") {
+        saw_value = true;
+        // The update names its version; the promise max(ts, stable) is
+        // derived from the frame header, not shipped.
+        EXPECT_EQ(u.ts, committed);
+      }
     }
   }
   EXPECT_TRUE(saw_value);

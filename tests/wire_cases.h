@@ -160,20 +160,12 @@ inline std::vector<WireCase> all() {
   out.push_back(make_case("GossipMsg", GossipMsg{3, ts(420, 6, 3)}));
   {
     PushMsg p;
-    p.partition = 2;
-    p.seq = 15;
-    p.stable_time = ts(430, 1, 2);
-    p.updates = {versioned(16, "p1", 200), versioned(17, "p22", 210)};
-    out.push_back(make_case("PushMsg", p));
-  }
-  {
-    PushBatchMsg p;
     p.partition = 5;
     p.seq = 18;
     p.stable_time = ts(440, 2, 5);
     p.updates = {PushUpdate{19, "u", ts(220, 0, 5)},
                  PushUpdate{20, "uu", ts(230, 1, 5)}};
-    out.push_back(make_case("PushBatchMsg", p));
+    out.push_back(make_case("PushMsg", p));
   }
   out.push_back(make_case("SafeUpMsg", SafeUpMsg{6, 4, ts(450, 3, 6)}));
   out.push_back(make_case("StableDownMsg", StableDownMsg{7, ts(460, 4, 7)}));

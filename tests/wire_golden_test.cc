@@ -54,8 +54,7 @@ const std::map<std::string, Golden>& goldens() {
       {"TccCommitReq", {55, 0xfd8f11d4c6fe3262ull}},
       {"SubscribeReq", {28, 0x12f990af40514038ull}},
       {"GossipMsg", {12, 0x7739ac0c5b80ec02ull}},
-      {"PushMsg", {85, 0xc515ca423a766d19ull}},
-      {"PushBatchMsg", {67, 0x30f2a468a47d39b6ull}},
+      {"PushMsg", {67, 0x30f2a468a47d39b6ull}},
       {"SafeUpMsg", {16, 0x2f96a46fb45f6615ull}},
       {"StableDownMsg", {12, 0xe2dc7b866b06b75cull}},
       {"TccMigrateOutReq", {56, 0xf98998d6c93e3da5ull}},
