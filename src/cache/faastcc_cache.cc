@@ -48,19 +48,18 @@ FaasTccCache::FaasTccCache(net::Network& network, net::Address self,
 }
 
 const FaasTccCache::Entry* FaasTccCache::peek(Key k) const {
-  const Cached* c = entries_.find(k);
-  return c == nullptr ? nullptr : &c->entry;
+  return entries_.find(k);
 }
 
 bool FaasTccCache::subscribed(Key k) const {
-  const Cached* c = entries_.find(k);
+  const Entry* c = entries_.find(k);
   return c != nullptr && (c->sub & kSubActive) != 0;
 }
 
 size_t FaasTccCache::desired_subscriptions() const {
   size_t n = 0;
   entries_.for_each(
-      [&n](Key, const Cached& c) { n += (c.sub & kSubDesired) != 0; });
+      [&n](Key, const Entry& c) { n += (c.sub & kSubDesired) != 0; });
   return n;
 }
 
@@ -72,9 +71,9 @@ void FaasTccCache::prewarm(const VersionedValue& vv, bool subscribed) {
   const bool open = subscribed || params_.chaos_prewarm_open;
   const uint8_t sub = subscribed ? kSubDesired | kSubActive : 0;
   const auto [c, inserted] = entries_.emplace(
-      vv.key, Cached{Entry{vv.value, vv.ts, vv.promise, open}, sub});
+      vv.key, Entry{vv.value, vv.ts, vv.promise, open, sub});
   if (!inserted) return;
-  bytes_ += c->entry.value.size() + kEntryOverhead;
+  bytes_ += c->value.size() + kEntryOverhead;
   stable_est_ = std::max(stable_est_, vv.promise);
 }
 
@@ -93,24 +92,27 @@ void FaasTccCache::insert_or_update(const TccReadResp::Entry& entry) {
   // successor yet.  The partition re-announces the key on subscribe and
   // the next push (or an unchanged refresh) reopens the entry.
   if (params_.capacity == 0) return;
-  Cached* c = entries_.touch(entry.key);
-  if (c == nullptr) {
+  Entry* e = entries_.touch(entry.key);
+  if (e == nullptr) {
     bytes_ += entry.value.size() + kEntryOverhead;
     entries_.emplace(entry.key,
-                     Cached{Entry{entry.value, entry.ts, entry.promise, false}});
+                     Entry{entry.value, entry.ts, entry.promise, false});
     // Keep the entry fresh via the storage notification service.
     request_subscribe({entry.key});
     return;
   }
   // An older version never replaces a newer cached one (§4.6: the reply is
-  // returned without updating the cache).
-  Entry& e = c->entry;
-  if (entry.ts > e.ts) {
+  // returned without updating the cache).  A newer one replaces the value
+  // but keeps the subscription state.
+  if (entry.ts > e->ts) {
     bytes_ += entry.value.size();
-    bytes_ -= e.value.size();
-    e = Entry{entry.value, entry.ts, entry.promise, false};
-  } else if (entry.ts == e.ts) {
-    e.promise = std::max(e.promise, entry.promise);
+    bytes_ -= e->value.size();
+    e->value = entry.value;
+    e->ts = entry.ts;
+    e->promise = entry.promise;
+    e->open = false;
+  } else if (entry.ts == e->ts) {
+    e->promise = std::max(e->promise, entry.promise);
   }
 }
 
@@ -119,7 +121,7 @@ void FaasTccCache::evict_to_capacity() {
   while (entries_.size() > params_.capacity) {
     const auto victim = entries_.least_recent();
     assert(victim.has_value());
-    bytes_ -= entries_.find(*victim)->entry.value.size() + kEntryOverhead;
+    bytes_ -= entries_.find(*victim)->value.size() + kEntryOverhead;
     entries_.erase(*victim);  // its subscription state goes with it
     evicted.push_back(*victim);
     counters_.evictions.inc();
@@ -129,7 +131,7 @@ void FaasTccCache::evict_to_capacity() {
 
 void FaasTccCache::request_subscribe(std::vector<Key> keys) {
   for (Key k : keys) {
-    if (Cached* c = entries_.find(k)) c->sub |= kSubDesired;
+    if (Entry* c = entries_.find(k)) c->sub |= kSubDesired;
   }
   ctl_queue_.push_back(CtlOp{true, std::move(keys)});
   if (!ctl_busy_) sim::spawn(ctl_drain());
@@ -155,7 +157,7 @@ sim::Task<void> FaasTccCache::ctl_drain() {
       if (acked) {
         for (Key k : op.keys) {
           // Still desired (not evicted since)?
-          Cached* c = entries_.find(k);
+          Entry* c = entries_.find(k);
           if (c != nullptr && (c->sub & kSubDesired) != 0) {
             c->sub |= kSubActive;
           }
@@ -174,9 +176,9 @@ void FaasTccCache::handle_push_gap(PartitionId p) {
   // The lost push may have carried the only announcement of a successor:
   // no open entry of this partition may keep extending its promise.
   std::vector<Key> resub;
-  entries_.for_each([&](Key k, Cached& c) {
+  entries_.for_each([&](Key k, Entry& c) {
     if (storage_.topology().partition_of(k) != p) return;
-    c.entry.open = false;
+    c.open = false;
     if ((c.sub & kSubDesired) != 0) resub.push_back(k);
   });
   // Resubscribing makes the partition re-announce each key's latest
@@ -211,7 +213,7 @@ void FaasTccCache::rehome(const routing::RoutingTable& old_table,
   }
   std::vector<Key> resub;
   size_t moved = 0;
-  entries_.for_each([&](Key k, Cached& c) {
+  entries_.for_each([&](Key k, Entry& c) {
     const PartitionId op = old_table.partition_of(k);
     const PartitionId np = new_table.partition_of(k);
     if (op == np && old_table.partitions[np] == new_table.partitions[np]) {
@@ -222,7 +224,7 @@ void FaasTccCache::rehome(const routing::RoutingTable& old_table,
     // was issued while the source still owned the chain, and the handoff
     // floor keeps the new owner above it — but without a live
     // subscription the entry must close.
-    c.entry.open = false;
+    c.open = false;
     c.sub &= ~kSubActive;
     ++moved;
     if ((c.sub & kSubDesired) != 0) resub.push_back(k);
@@ -266,8 +268,8 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   std::vector<size_t> to_fetch;
   for (size_t i = 0; i < q.keys.size(); ++i) {
     const Key k = q.keys[i];
-    if (const Cached* c = entries_.find(k)) {
-      const Entry& e = c->entry;
+    if (const Entry* c = entries_.find(k)) {
+      const Entry& e = *c;
       const Timestamp promise = effective_promise(k, e);
       // The no-promises ablation admits and narrows with the bare version
       // timestamp: narrowing with the full promise would leak promise
@@ -324,9 +326,9 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
     cached_ts.reserve(to_fetch.size());
     for (size_t idx : to_fetch) {
       const Key k = q.keys[idx];
-      const Cached* c = entries_.find(k);
+      const Entry* c = entries_.find(k);
       keys.push_back(k);
-      cached_ts.push_back(c == nullptr ? Timestamp::min() : c->entry.ts);
+      cached_ts.push_back(c == nullptr ? Timestamp::min() : c->ts);
     }
     storage::TccStorageClient::ReadAccounting acct;
     // Open flags in a response generated before a push gap are stale (the
@@ -359,8 +361,8 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
         break;
       }
       if (entry.status == TccReadResp::Status::kUnchanged) {
-        const Cached* c = entries_.find(entry.key);
-        if (c == nullptr || c->entry.ts != entry.ts) {
+        const Entry* c = entries_.find(entry.key);
+        if (c == nullptr || c->ts != entry.ts) {
           // Evicted or replaced while the request was in flight: the
           // "unchanged" answer no longer has a local value to attach.
           // Retry without advertising a cached version.
@@ -389,15 +391,15 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
       const size_t idx = to_fetch[j];
       auto& entry = storage_resp.entries[j];
       if (entry.status == TccReadResp::Status::kUnchanged) {
-        Cached* c = entries_.touch(entry.key);
+        Entry* c = entries_.touch(entry.key);
         assert(c != nullptr);  // guaranteed by the trial merge
-        Entry& e = c->entry;
+        Entry& e = *c;
         e.promise = std::max(e.promise, entry.promise);
         // Reopen only when the subscription is confirmed live and no push
         // gap interleaved with this storage round: otherwise the "open"
         // flag may predate a successor whose announcement was lost.
         e.open = e.open || (entry.open && gap_epoch_ == epoch_before &&
-                            (c->sub & kSubActive) != 0);
+                            (e.sub & kSubActive) != 0);
         resp.entries[idx] =
             VersionedValue{entry.key, e.value, e.ts, e.promise};
       } else {
@@ -456,20 +458,24 @@ void FaasTccCache::on_push(Buffer msg, net::Address) {
     slot = std::max(slot, stable);
   }
   for (auto& u : push.updates) {
-    Cached* c = entries_.find(u.key);
+    Entry* c = entries_.find(u.key);
     if (c == nullptr) {
       // Evicted since we subscribed; the unsubscribe is in flight.
       counters_.pushes_stale.inc();
       continue;
     }
     const bool may_open = in_order && (c->sub & kSubActive) != 0;
-    Entry& e = c->entry;
+    Entry& e = *c;
     // The pusher's promise for a latest version is max(ts, stable at push).
     const Timestamp promise = std::max(u.ts, stable);
     if (u.ts > e.ts) {
       bytes_ += u.value.size();
       bytes_ -= e.value.size();
-      e = Entry{std::move(u.value), u.ts, promise, may_open};
+      // A newer version replaces the value but keeps the subscription.
+      e.value = std::move(u.value);
+      e.ts = u.ts;
+      e.promise = promise;
+      e.open = may_open;
       counters_.pushes_applied.inc();
     } else if (u.ts == e.ts) {
       e.promise = std::max(e.promise, promise);

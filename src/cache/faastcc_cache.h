@@ -78,6 +78,8 @@ class FaasTccCache {
   };
   const Counters& counters() const { return counters_; }
 
+  // One slot per cached key.  The subscription state rides in the
+  // entry's padding (32 bytes; a slot is 48 with key and LRU links).
   struct Entry {
     Value value;
     Timestamp ts;
@@ -85,7 +87,19 @@ class FaasTccCache {
     // No successor known as of `promise`: the promise may be extended by a
     // later stable time of the owning partition.
     bool open = false;
+    // kSub* bits.  Only acknowledged subscriptions make entries open — an
+    // unconfirmed one delivers no pushes, so extending promises on it
+    // would be unsound.  The state goes with the slot (an evicted key
+    // wants no subscription) and survives every rewrite of the version.
+    uint8_t sub = 0;
   };
+  static constexpr uint8_t kSubDesired = 1;  // subscribe requested
+  static constexpr uint8_t kSubActive = 2;   // acknowledged by every partition
+  // Bytes one cached key costs in the slot array (an unbounded, pre-warmed
+  // cache holds every key of the dataset).
+  static constexpr size_t slot_bytes() {
+    return SlotTable<Entry>::slot_bytes();
+  }
 
   // Test access.
   bool has(Key k) const { return entries_.contains(k); }
@@ -112,16 +126,6 @@ class FaasTccCache {
  private:
   static constexpr size_t kEntryOverhead = 8 + 8 + 8;  // key + ts + promise
 
-  // One slot per cached key: the entry plus its subscription state.  Only
-  // acknowledged subscriptions make entries open — an unconfirmed one
-  // delivers no pushes, so extending promises on it would be unsound.  The
-  // state goes with the slot: an evicted key wants no subscription.
-  static constexpr uint8_t kSubDesired = 1;  // subscribe requested
-  static constexpr uint8_t kSubActive = 2;   // acknowledged by every partition
-  struct Cached {
-    Entry entry;
-    uint8_t sub = 0;
-  };
   // Must cover at least one full gossip period of the stabilizer at the
   // configured backoff, or hot-key reads can exhaust retries under
   // extreme contention.
@@ -161,7 +165,7 @@ class FaasTccCache {
   CacheParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  SlotTable<Cached> entries_;
+  SlotTable<Entry> entries_;
   size_t bytes_ = 0;
   // Highest global stable time observed anywhere; monotone per partition,
   // so always a safe read snapshot.

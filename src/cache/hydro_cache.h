@@ -57,6 +57,10 @@ class HydroCache {
   const Counters& counters() const { return counters_; }
 
   bool has(Key k) const { return entries_.contains(k); }
+  // Bytes one cached key costs in the slot array.
+  static constexpr size_t slot_bytes() {
+    return SlotTable<Entry>::slot_bytes();
+  }
 
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value value, uint64_t counter, SimTime written_at);

@@ -504,38 +504,43 @@ struct StoredDep {
   }
 };
 
-// Immutable, refcounted stored-dependency list.  One decoded or built list
-// is shared by every holder — cache entry, read response, client context —
-// instead of being vector-copied at each hop.  On the wire it is a plain
-// std::vector<StoredDep> (u32 count + entries), so Fig. 7 / Fig. 8 byte
-// accounting is unchanged.
+// Immutable, refcounted stored-dependency list: an 8-byte SharedArray
+// handle, like Value.  One decoded or built list is shared by every
+// holder — cache entry, read response, client context — instead of being
+// copied at each hop.  On the wire it is a u32 count followed by the
+// entries (the encoding of a std::vector<StoredDep>), so Fig. 7 / Fig. 8
+// byte accounting does not depend on the representation.
 class DepList {
  public:
   DepList() = default;
-  DepList(std::vector<StoredDep> deps)  // NOLINT(google-explicit-constructor)
-      : list_(deps.empty() ? nullptr
-                           : std::make_shared<const std::vector<StoredDep>>(
-                                 std::move(deps))) {}
+  DepList(const std::vector<StoredDep>& deps)  // NOLINT(google-explicit-constructor)
+      : list_(deps.data(), deps.size()) {}
 
-  size_t size() const { return list_ ? list_->size() : 0; }
-  bool empty() const { return size() == 0; }
-  const std::vector<StoredDep>& items() const {
-    static const std::vector<StoredDep> kEmpty;
-    return list_ ? *list_ : kEmpty;
-  }
-  auto begin() const { return items().begin(); }
-  auto end() const { return items().end(); }
-  const StoredDep& operator[](size_t i) const { return items()[i]; }
+  size_t size() const { return list_.size(); }
+  bool empty() const { return list_.empty(); }
+  const StoredDep* begin() const { return list_.begin(); }
+  const StoredDep* end() const { return list_.end(); }
+  const StoredDep& operator[](size_t i) const { return list_[i]; }
 
   template <typename W>
-  void encode(W& w) const { w(items()); }
+  void encode(W& w) const {
+    w.put_u32(static_cast<uint32_t>(size()));
+    for (const StoredDep& d : list_) w(d);
+  }
+  // Reads the entries straight into one new block.
   static DepList decode(BufReader& r) {
-    return DepList(r.get<std::vector<StoredDep>>());
+    const uint32_t n = r.get_count();
+    DepList l;
+    l.list_ = SharedArray<StoredDep>::build(n, [&r, n](StoredDep* out) {
+      for (uint32_t i = 0; i < n; ++i) r(out[i]);
+    });
+    return l;
   }
 
  private:
-  std::shared_ptr<const std::vector<StoredDep>> list_;
+  SharedArray<StoredDep> list_;
 };
+static_assert(sizeof(DepList) == 8);
 
 // Payload persisted in the eventual store for every HydroCache write:
 // the application value plus the dependency list.

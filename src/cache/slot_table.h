@@ -43,6 +43,8 @@ template <typename Payload, typename Hash = KeyMix>
 class SlotTable {
  public:
   size_t size() const { return slots_.size(); }
+  // Bytes of one slot in the dense array (key, LRU links and payload).
+  static constexpr size_t slot_bytes() { return sizeof(Slot); }
 
   // Sizes the slot array and the index for `n` entries at once.
   void reserve(size_t n) {

@@ -336,17 +336,17 @@ class BufReader {
   size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
 
- private:
-  // Element count of a vector or map.  Every element encodes to at least
-  // one byte, so a count beyond the bytes left is malformed; rejecting it
-  // before sizing the container keeps a corrupt prefix from allocating
-  // gigabytes.
+  // Element count of a vector, map or other array.  Every element encodes
+  // to at least one byte, so a count beyond the bytes left is malformed;
+  // rejecting it before sizing the container keeps a corrupt prefix from
+  // allocating gigabytes.
   uint32_t get_count() {
     const uint32_t n = get<uint32_t>();
     if (n > remaining()) throw CodecError("element count exceeds message");
     return n;
   }
 
+ private:
   template <class T>
   void read(T& x) {
     if constexpr (std::is_same_v<T, bool>) {

@@ -2,11 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
+
+#include "common/shared_array.h"
 
 namespace faastcc {
 
@@ -35,40 +37,45 @@ using PartitionId = uint32_t;
 using Key = uint64_t;
 
 // Values are opaque immutable byte strings (the paper uses 8-byte
-// payloads), shared by reference count: assigning or copying a Value bumps
-// a refcount instead of deep-copying the bytes, so a payload travelling
-// mv_store -> partition -> cache -> client is allocated once.  The
-// string-like read surface (size/empty/view/iteration/comparison) is what
-// the codec and the byte-accounting paths consume — `size()` is the same
-// number as before, so Fig. 5/7/8 wire and cache byte counts are
-// unaffected.  An empty value holds no allocation at all.
+// payloads), shared by reference count: one 8-byte handle to a block that
+// holds the count, the length and the bytes inline (SharedArray).  The
+// count is not atomic: a simulation runs on one thread and never hands a
+// value to another.  Copying a Value bumps the count instead of
+// deep-copying the bytes, so a payload travelling mv_store -> partition ->
+// cache -> client is allocated once, and an 8-byte payload costs one
+// 32-byte malloc chunk.  The string-like
+// read surface (size/empty/view/iteration/comparison) is what the codec
+// and the byte-accounting paths consume — `size()` is the payload length,
+// so Fig. 5/7/8 wire and cache byte counts do not depend on the
+// representation.  An empty value holds no allocation at all.
 class Value {
  public:
   Value() = default;
-  Value(std::string s)  // NOLINT(google-explicit-constructor)
-      : data_(s.empty() ? nullptr
-                        : std::make_shared<const std::string>(std::move(s))) {}
   Value(std::string_view s)  // NOLINT(google-explicit-constructor)
-      : Value(std::string(s)) {}
+      : bytes_(s.data(), s.size()) {}
+  Value(const std::string& s)  // NOLINT(google-explicit-constructor)
+      : Value(std::string_view(s)) {}
   Value(const char* s)  // NOLINT(google-explicit-constructor)
-      : Value(std::string(s)) {}
-  Value(size_t count, char fill) : Value(std::string(count, fill)) {}
+      : Value(std::string_view(s)) {}
+  Value(size_t count, char fill)
+      : bytes_(SharedArray<char>::build(
+            count, [count, fill](char* p) { std::memset(p, fill, count); })) {}
 
-  size_t size() const { return data_ ? data_->size() : 0; }
-  bool empty() const { return data_ == nullptr || data_->empty(); }
+  size_t size() const { return bytes_.size(); }
+  bool empty() const { return bytes_.empty(); }
 
   std::string_view view() const {
-    return data_ ? std::string_view(*data_) : std::string_view();
+    return std::string_view(bytes_.data(), bytes_.size());
   }
   operator std::string_view() const { return view(); }  // NOLINT
-  const char* data() const { return view().data(); }
+  const char* data() const { return bytes_.data(); }
 
   auto begin() const { return view().begin(); }
   auto end() const { return view().end(); }
-  char operator[](size_t i) const { return view()[i]; }
+  char operator[](size_t i) const { return bytes_[i]; }
 
   friend bool operator==(const Value& a, const Value& b) {
-    return a.data_ == b.data_ || a.view() == b.view();
+    return a.bytes_.shares_block_with(b.bytes_) || a.view() == b.view();
   }
   friend bool operator==(const Value& a, std::string_view b) {
     return a.view() == b;
@@ -87,8 +94,9 @@ class Value {
   }
 
  private:
-  std::shared_ptr<const std::string> data_;
+  SharedArray<char> bytes_;
 };
+static_assert(sizeof(Value) == 8);
 
 // Unique id of one DAG execution (== one transaction attempt).
 using TxnId = uint64_t;

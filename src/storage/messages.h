@@ -121,7 +121,9 @@ struct TccReadResp {
     }
   };
   std::vector<Entry> entries;
-  Timestamp stable_time;  // the partition's current view; diagnostic
+  // The partition's current stable time; the cache folds it into its
+  // stable-time estimate, which clamps later read snapshots.
+  Timestamp stable_time;
 
   template <class Self, class F>
   static void fields(Self& s, F&& f) { f(s.stable_time, s.entries); }

@@ -771,8 +771,7 @@ sim::Task<void> TccPartition::push_loop() {
     // subscribers to close entries.  Always true without replication.
     if (!is_current_leader()) continue;
     const Timestamp stable = stabilizer_.stable_time();
-    // Group fresh versions per subscriber.
-    std::unordered_map<net::Address, PushMsg> batches;
+    // Group fresh versions per subscriber, in dirty-set order.
     for (Key k : dirty_) {
       const AddressList* subs = subscribers_.find(k);
       if (subs == nullptr) continue;
@@ -780,22 +779,25 @@ sim::Task<void> TccPartition::push_loop() {
       if (r.version == nullptr) continue;
       const PushUpdate u{k, r.version->value, r.version->ts};
       for (net::Address sub : *subs) {
-        batches[sub].updates.push_back(u);
+        push_batches_[sub].updates.push_back(u);
       }
     }
     dirty_.clear();
     // Every subscriber gets a push each period, even an empty one: the
     // absence of a key in the batch is the promise-extension signal.
     for (net::Address sub : subscriber_addresses_) {
-      auto& batch = batches[sub];  // creates empty batches as needed
+      PushMsg& batch = push_batches_[sub];  // a new subscriber starts at seq 0
       batch.partition = id_;
       // Channel sequence, starting at 1 and persisting across resubscribes:
       // a gap tells the subscriber a (possibly announcing) push was lost.
-      batch.seq = ++push_seq_out_[sub];
+      ++batch.seq;
       batch.stable_time = stable;
       counters_.pushes.inc();
       rpc_.send(sub, kTccPush, batch);
     }
+    // Drop this round's updates (and the values they hold) but keep each
+    // vector's capacity for the next round.
+    for (auto& [sub, batch] : push_batches_) batch.updates.clear();
   }
 }
 

@@ -323,10 +323,12 @@ class TccPartition {
   std::unordered_map<net::Address, size_t> subscriber_refs_;
   std::set<net::Address> subscriber_addresses_;
   std::unordered_set<Key> dirty_;
-  // Per-subscriber push-channel sequence (first push carries seq 1) and the
-  // newest control-channel (subscribe/unsubscribe) sequence processed per
+  // One push frame per subscriber, kept across rounds: its update vector
+  // keeps its capacity, and its `seq` is the subscriber's push-channel
+  // sequence (first push carries seq 1).
+  std::unordered_map<net::Address, PushMsg> push_batches_;
+  // Newest control-channel (subscribe/unsubscribe) sequence processed per
   // subscriber; stale control retries are dropped.
-  std::unordered_map<net::Address, uint64_t> push_seq_out_;
   std::unordered_map<net::Address, uint64_t> ctl_seq_seen_;
   bool ctl_stale(uint64_t seq, net::Address from);
   check::ConsistencyOracle* oracle_ = nullptr;

@@ -8,13 +8,24 @@
 // (coroutine frames and future states come from the thread's SmallPool,
 // payload buffers from the loop's BufferPool, the pending-call table and
 // the event queues keep their capacity).
+//
+// It also pins the allocations and lifetimes of the refcounted payload
+// handles, Value and cache::DepList: one block per non-empty payload,
+// none per copy, and the block freed with its last holder.  Those tests
+// (`*Handle.*`) start no service loop, so they also run leak-checked
+// under ASan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "cache/hydro_types.h"
+#include "common/serialize.h"
 #include "net/network.h"
 #include "net/rpc.h"
 #include "sim/event_loop.h"
@@ -32,10 +43,29 @@ void* counted_new(size_t n) {
   throw std::bad_alloc();
 }
 
-void counted_delete(void* p) noexcept {
+// Out of line, like the library's operator delete: inlined, its free()
+// lets GCC's -Wuse-after-free misread the refcount tests below (it cannot
+// see that a block is freed only on its last release).
+[[gnu::noinline]] void counted_delete(void* p) noexcept {
   if (p == nullptr) return;
   --g_live;
   std::free(p);
+}
+
+// Heap allocations made by `fn`.
+template <typename F>
+uint64_t news_during(F&& fn) {
+  const uint64_t before = g_news;
+  fn();
+  return g_news - before;
+}
+
+// Heap blocks still live after `fn`, relative to before it.
+template <typename F>
+int64_t live_after(F&& fn) {
+  const int64_t before = g_live;
+  fn();
+  return g_live - before;
 }
 
 }  // namespace
@@ -99,14 +129,6 @@ struct EchoPair {
   }
 };
 
-// Heap allocations made by `fn`.
-template <typename F>
-uint64_t news_during(F&& fn) {
-  const uint64_t before = g_news;
-  fn();
-  return g_news - before;
-}
-
 TEST(Allocations, EchoRoundTripAllocatesOnlyItsTwoInFlightRecords) {
   EchoPair p;
   // Warm-up: fills the frame and future-state free lists, the buffer pool,
@@ -167,3 +189,166 @@ TEST(Allocations, LoopTeardownFreesQueuedDeliveries) {
 
 }  // namespace
 }  // namespace faastcc::net
+
+namespace faastcc {
+namespace {
+
+TEST(ValueHandle, NonEmptyConstructAllocatesOnce) {
+  const std::string bytes(8, 'v');
+  EXPECT_EQ(news_during([&] { Value v(bytes); }), 1u);
+  EXPECT_EQ(news_during([] { Value v("payload"); }), 1u);
+  EXPECT_EQ(news_during([] { Value v(64, 'x'); }), 1u);
+}
+
+TEST(ValueHandle, DecodeAllocatesOnce) {
+  BufWriter w;
+  w(Value("12345678"));
+  const Buffer wire = w.take();
+  Value v;
+  EXPECT_EQ(news_during([&] {
+              BufReader r(wire);
+              v = r.get<Value>();
+            }),
+            1u);
+  EXPECT_EQ(v, "12345678");
+}
+
+TEST(ValueHandle, CopyMoveAndAssignAllocateNothing) {
+  const Value a("payload");
+  Value other("other");
+  EXPECT_EQ(news_during([&] {
+              Value b = a;
+              Value c = std::move(b);
+              c = a;
+              other = c;
+              Value d;
+              d = std::move(c);
+            }),
+            0u);
+  EXPECT_EQ(other, a);
+}
+
+TEST(ValueHandle, EmptyValueAllocatesNothing) {
+  BufWriter w;
+  w(Value());
+  const Buffer wire = w.take();
+  EXPECT_EQ(news_during([&] {
+              Value a;
+              Value b("");
+              Value c(std::string_view{});
+              Value d(0, 'x');
+              BufReader r(wire);
+              Value e = r.get<Value>();
+            }),
+            0u);
+}
+
+TEST(ValueHandle, BlockIsFreedWithItsLastHolder) {
+  EXPECT_EQ(live_after([] {
+              Value survivor;
+              EXPECT_EQ(live_after([&] {
+                          Value a("payload");
+                          Value b = a;
+                          survivor = b;
+                        }),
+                        1);  // still held by `survivor`
+              EXPECT_EQ(survivor, "payload");
+            }),
+            0);
+  EXPECT_EQ(live_after([] {
+              Value a("x");
+              Value b("y");
+              a = b;  // a's old block goes now
+              b = Value();
+              const Value& alias = a;
+              a = alias;
+              a = std::move(a);
+            }),
+            0);
+}
+
+std::vector<cache::StoredDep> some_deps() {
+  return {cache::StoredDep{1, 2, 3, 0}, cache::StoredDep{4, 5, 6, 1},
+          cache::StoredDep{7, 8, 9, 1}};
+}
+
+TEST(DepListHandle, NonEmptyConstructAllocatesOnce) {
+  const std::vector<cache::StoredDep> deps = some_deps();
+  EXPECT_EQ(news_during([&] { cache::DepList l(deps); }), 1u);
+}
+
+TEST(DepListHandle, DecodeAllocatesOnce) {
+  BufWriter w;
+  w(cache::DepList(some_deps()));
+  const Buffer wire = w.take();
+  cache::DepList l;
+  EXPECT_EQ(news_during([&] {
+              BufReader r(wire);
+              l = r.get<cache::DepList>();
+            }),
+            1u);
+  ASSERT_EQ(l.size(), 3u);
+  EXPECT_EQ(l[2].key, 7u);
+  EXPECT_EQ(l[2].level, 1);
+}
+
+TEST(DepListHandle, CopyMoveAndAssignAllocateNothing) {
+  const cache::DepList a(some_deps());
+  cache::DepList other(std::vector<cache::StoredDep>{cache::StoredDep{}});
+  EXPECT_EQ(news_during([&] {
+              cache::DepList b = a;
+              cache::DepList c = std::move(b);
+              c = a;
+              other = c;
+              cache::DepList d;
+              d = std::move(c);
+            }),
+            0u);
+  EXPECT_EQ(other.size(), 3u);
+}
+
+TEST(DepListHandle, EmptyListAllocatesNothing) {
+  BufWriter w;
+  w(cache::DepList());
+  const Buffer wire = w.take();
+  const std::vector<cache::StoredDep> none;
+  EXPECT_EQ(news_during([&] {
+              cache::DepList a;
+              cache::DepList b(none);
+              BufReader r(wire);
+              cache::DepList c = r.get<cache::DepList>();
+            }),
+            0u);
+}
+
+TEST(DepListHandle, BlockIsFreedWithItsLastHolder) {
+  const std::vector<cache::StoredDep> deps = some_deps();
+  EXPECT_EQ(live_after([&] {
+              cache::DepList survivor;
+              EXPECT_EQ(live_after([&] {
+                          cache::DepList a(deps);
+                          cache::DepList b = a;
+                          survivor = b;
+                        }),
+                        1);
+              EXPECT_EQ(survivor.size(), 3u);
+            }),
+            0);
+}
+
+// A decode that fails part-way through the entries frees the block it
+// was filling.
+TEST(DepListHandle, FailedDecodeFreesItsBlock) {
+  BufWriter w;
+  w(cache::DepList(some_deps()));
+  Buffer wire = w.take();
+  wire.resize(wire.size() - 1);
+  EXPECT_EQ(live_after([&] {
+              BufReader r(wire);
+              EXPECT_THROW(r.get<cache::DepList>(), CodecError);
+            }),
+            0);
+}
+
+}  // namespace
+}  // namespace faastcc

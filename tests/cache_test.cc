@@ -206,6 +206,11 @@ TEST(DepMap, EncodeDecodeRoundTrip) {
 // FaaSTCC cache against a live TCC partition cluster.
 // ---------------------------------------------------------------------------
 
+// A warm key of an unbounded cache costs one slot in every compute node's
+// cache: growing a slot is a deliberate footprint decision.
+static_assert(FaasTccCache::slot_bytes() == 48);
+static_assert(HydroCache::slot_bytes() == 48);
+
 class FaasTccCacheTest : public ::testing::Test {
  protected:
   FaasTccCacheTest()
@@ -383,6 +388,52 @@ TEST_F(FaasTccCacheTest, PushedPromiseIsDerivedFromFrameStableTime) {
     co_await sim::sleep_for(loop_, milliseconds(5));
     EXPECT_EQ(cache_->peek(1)->ts, t1);
     EXPECT_EQ(cache_->peek(1)->promise, stable);
+  });
+}
+
+// The subscription state lives in the entry: replacing the cached version
+// must carry it over, or the entry closes for good (no push would reopen it)
+// and every later read past its promise goes to storage.
+TEST_F(FaasTccCacheTest, PushedNewerVersionKeepsTheSubscription) {
+  run([&]() -> sim::Task<void> {
+    co_await commit(1, "v1", Timestamp::min());
+    co_await sim::sleep_for(loop_, milliseconds(10));
+    std::vector<Key> k1(1, Key{1});
+    co_await cache_read(k1, SnapshotInterval::full());
+    co_await sim::sleep_for(loop_, milliseconds(30));  // subscribe acked
+    EXPECT_TRUE(cache_->subscribed(1));
+    const auto fetches = cache_->counters().storage_fetches.value();
+    const Timestamp t2 = co_await commit(1, "v2", Timestamp::min());
+    co_await sim::sleep_for(loop_, milliseconds(60));  // > push period
+    EXPECT_EQ(cache_->peek(1)->ts, t2);
+    EXPECT_EQ(cache_->counters().storage_fetches.value(), fetches);
+    EXPECT_TRUE(cache_->subscribed(1));
+    EXPECT_TRUE(cache_->peek(1)->open);
+  });
+}
+
+TEST_F(FaasTccCacheTest, StorageReadOfNewerVersionKeepsTheSubscription) {
+  run([&]() -> sim::Task<void> {
+    co_await commit(1, "v1", Timestamp::min());
+    co_await sim::sleep_for(loop_, milliseconds(10));
+    std::vector<Key> k1(1, Key{1});
+    co_await cache_read(k1, SnapshotInterval::full());
+    co_await sim::sleep_for(loop_, milliseconds(30));  // subscribe acked
+    EXPECT_TRUE(cache_->subscribed(1));
+    const auto pushed = cache_->counters().pushes_applied.value();
+    const Timestamp t2 = co_await commit(1, "v2", Timestamp::min());
+    // A snapshot at or after v2 cannot use the cached v1: the cache reads
+    // v2 from storage before any push announces it.
+    SnapshotInterval si;
+    si.low = t2;
+    auto resp = co_await cache_read(k1, si);
+    EXPECT_FALSE(resp.abort);
+    EXPECT_FALSE(resp.from_cache[0]);
+    EXPECT_EQ(resp.entries[0].value, "v2");
+    EXPECT_EQ(cache_->peek(1)->ts, t2);
+    EXPECT_EQ(cache_->counters().pushes_applied.value(), pushed)
+        << "a push replaced the entry first; the read path went untested";
+    EXPECT_TRUE(cache_->subscribed(1));
   });
 }
 

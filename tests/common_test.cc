@@ -1,10 +1,12 @@
-// Unit tests for the common module: timestamps, HLC, codec, RNG, Zipf,
-// statistics.
+// Unit tests for the common module: timestamps, HLC, codec, Value, RNG,
+// Zipf, statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hlc.h"
@@ -181,6 +183,63 @@ TEST(Codec, SizesAreExact) {
   w.put_u64(1);
   w.put_u64(2);
   EXPECT_EQ(w.size(), 16u);  // the snapshot-interval wire size (Fig. 5)
+}
+
+// ---------------------------------------------------------------------------
+// Value (an 8-byte refcounted handle; alloc_test pins its allocations)
+// ---------------------------------------------------------------------------
+
+static_assert(sizeof(Value) == 8);
+
+TEST(Value, SelfAssignmentKeepsTheBytes) {
+  Value v("payload");
+  const Value& alias = v;
+  v = alias;
+  EXPECT_EQ(v, "payload");
+  EXPECT_EQ(v.size(), 7u);
+}
+
+TEST(Value, SelfMoveKeepsTheBytes) {
+  Value v("payload");
+  Value& alias = v;
+  v = std::move(alias);
+  EXPECT_EQ(v, "payload");
+}
+
+TEST(Value, EqualBytesInDistinctBlocksCompareEqual) {
+  const Value a("abcdefgh");
+  const Value b(std::string("abcdefgh"));
+  EXPECT_NE(static_cast<const void*>(a.data()),
+            static_cast<const void*>(b.data()));
+  EXPECT_EQ(a, b);
+  EXPECT_FALSE(a == Value("abcdefgX"));
+  EXPECT_FALSE(a == Value("abcdefg"));
+}
+
+TEST(Value, CopiesShareOneBlock) {
+  const Value a(8, 'x');
+  const Value b = a;
+  EXPECT_EQ(a.data(), b.data());
+  EXPECT_EQ(b, std::string(8, 'x'));
+}
+
+TEST(Value, EmptyValuesAreEqualAndHoldNoBytes) {
+  EXPECT_EQ(Value(), Value(""));
+  EXPECT_EQ(Value(), Value(0, 'x'));
+  EXPECT_TRUE(Value("").empty());
+  EXPECT_EQ(Value().data(), nullptr);
+  EXPECT_EQ(Value().view(), "");
+}
+
+TEST(Value, EncodesAsLengthThenBytes) {
+  BufWriter w;
+  w(Value("abc"), Value());
+  const Buffer b = w.take();
+  EXPECT_EQ(b, (Buffer{3, 0, 0, 0, 'a', 'b', 'c', 0, 0, 0, 0}));
+  BufReader r(b);
+  EXPECT_EQ(r.get<Value>(), "abc");
+  EXPECT_TRUE(r.get<Value>().empty());
+  EXPECT_TRUE(r.done());
 }
 
 // ---------------------------------------------------------------------------

@@ -133,6 +133,33 @@ TEST(WireGolden, GoldenFramesDecode) {
   }
 }
 
+// Fig. 7's FaaSTCC read bytes: a one-key response carrying a value is 50 B,
+// the median every BENCH_fig_main.json skew reports (the paper's prototype
+// measured 18-22 B).  12 B of header — the diagnostic stable time (8) and
+// the entry count (4) — plus one 38 B entry: key 8, status 1, ts 8,
+// promise 8, open 1, and the 8-byte value with its 4-byte length.  The
+// p99 of 100 B is an episode of two such responses.  A promise refresh
+// (kUnchanged) drops the value: 38 B.
+TEST(WireGolden, OneKeyReadResponseSizesMatchFig7) {
+  storage::TccReadResp resp;
+  storage::TccReadResp::Entry e;
+  e.key = 1;
+  e.status = storage::TccReadResp::Status::kValue;
+  e.value = Value(8, 'x');
+  e.ts = Timestamp(100, 0, 1);
+  e.promise = Timestamp(200, 0, 1);
+  e.open = true;
+  resp.entries.push_back(e);
+  CountingWriter w;
+  w(resp);
+  EXPECT_EQ(w.size(), 50u);
+  EXPECT_EQ(encode_message(resp).size(), 50u);
+
+  resp.entries[0].status = storage::TccReadResp::Status::kUnchanged;
+  resp.entries[0].value = Value();
+  EXPECT_EQ(encoded_size(resp), 38u);
+}
+
 // The commit response frame is assembled by the partition: `ok`, then the
 // commit timestamp.  Pin the bytes of a real fast-path commit reply.
 TEST(WireGolden, CommitResponseFrameFromPartition) {
